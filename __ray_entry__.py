@@ -1719,13 +1719,13 @@ def q_pricing_summary(sf_dir: str):
 
 def entry() -> Any:
     """Flagship: sf0.001 documents wrapped into CC-style pages (input_hint
-    shape: url, warc_ts, html:binary, lang) → ExtractStage actor pool →
+    shape: url, warc_ts, html:binary, lang) → ExtractStage task map →
     extracted text + parse metrics Dataset. Driver checks rows >= 0."""
     from html_parser_ray.stages.extract import extract_pages
     ds = _read("/root/testdata/sf0.001", "documents",
                columns=["doc_id", "text", "lang"])
     pages = ds.map_batches(_wrap_batch, batch_format="pyarrow")
-    return extract_pages(pages, concurrency=2, batch_size=64)
+    return extract_pages(pages, batch_size=64)
 
 
 def queries() -> dict[str, Callable[[str], Any]]:

@@ -67,7 +67,7 @@ def _ensure_corpus(sf: float) -> str:
 
 
 def bench_extract(sf_dir: str) -> dict:
-    """Flagship: CC-scale pages parquet → ExtractStage actor pool →
+    """Flagship: CC-scale pages parquet → ExtractStage task map →
     streaming aggregate consumption."""
     import ray
     from html_parser_ray.stages.extract import extract_pages

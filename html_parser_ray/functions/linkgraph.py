@@ -7,7 +7,7 @@ pipeline needs: the host graph drives crawl prioritization and
 quality-weighted sampling of a 100-TB corpus.
 
 Scale shape:
-  * ``LinkExtractStage`` — actor-pool `map_batches` over (url, html):
+  * ``LinkExtractStage`` — task `map_batches` over (url, html):
     one DOM parse per row via the htmlcore kernel, every ``<a href>`` in
     the tree (reference traversal semantics: walk over ALL elements,
     mod.ts:1684-1699 — hidden/template subtrees included), href resolved
@@ -87,7 +87,7 @@ class LinkExtractStage:
     _ANCHOR_MAX = 200
 
     def __init__(self):
-        # warm per-actor kernel state (entity trie, interned tag tables)
+        # kernel imports (entity trie, tag tables) load once per worker
         import re
         from ..htmlcore.api import parse_bytes
         from ..htmlcore.dom import Element, Text
@@ -139,22 +139,15 @@ class LinkExtractStage:
         })
 
 
-def extract_links(ds, concurrency=None, batch_size: int = 16):
+def extract_links(ds, batch_size: int = 16):
     """Dataset[url, html, ...] → Dataset[src_url, href, dst_url].
 
-    ``concurrency=None`` sizes a FIXED actor pool to ~75% of cluster
-    CPUs — the extract_pages rule (stages/extract.py): autoscaling pools
-    ramp too slowly for short jobs (measured 2.5x slower there) and a
-    full-CPU pool starves the upstream read tasks. batch_size matches
-    extract_pages' byte-aware 16-row bundles (each row is a full HTML
-    parse)."""
-    if concurrency is None:
-        import ray
-        n = (int(ray.cluster_resources().get("CPU", 4))
-             if ray.is_initialized() else 4)
-        concurrency = max(2, int(n * 0.75))
-    return ds.map_batches(LinkExtractStage, batch_format="pyarrow",
-                          concurrency=concurrency, batch_size=batch_size)
+    A stateless task map like extract_pages (stages/extract.py): no
+    ``concurrency`` cap, so Ray Data fuses it with neighbouring map stages
+    and sizes it to the free CPUs. batch_size matches extract_pages'
+    byte-aware 16-row bundles (each row is a full HTML parse)."""
+    return ds.map_batches(LinkExtractStage(), batch_format="pyarrow",
+                          batch_size=batch_size)
 
 
 def host_edges(links_ds):

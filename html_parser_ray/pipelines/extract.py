@@ -1,6 +1,6 @@
 """End-to-end extraction pipelines (Ray-Data-native, streaming).
 
-read_parquet → ExtractStage (actor pool) → write_parquet / rollups.
+read_parquet → ExtractStage (fused task map) → write_parquet / rollups.
 Wide steps: rollups pre-aggregate inside map_batches before the small
 groupby; partitioning key is hash(url) (north rule) for resumable output.
 """
@@ -19,10 +19,9 @@ def read_pages(sf_dir_or_path: str, columns: list[str] | None = None):
     return ray.data.read_parquet(sf_dir_or_path, columns=columns)
 
 
-def extract_pipeline(pages_ds, *, concurrency=None, batch_size: int = 64):
+def extract_pipeline(pages_ds, *, batch_size: int = 64):
     """pages → extracted text Dataset (streaming, never materializes)."""
-    return extract_pages(pages_ds, concurrency=concurrency,
-                         batch_size=batch_size)
+    return extract_pages(pages_ds, batch_size=batch_size)
 
 
 # ---------------------------------------------------------------------------
@@ -115,20 +114,26 @@ def write_extracted(extracted_ds, out_dir: str, n_buckets: int = 64):
 # two-branch filter+union re-executes the upstream read per consumer (2×
 # scan I/O of a 100-TB corpus to isolate ~0.1% of rows), so the routing is
 # a SINGLE pass: one generator stage splits each block, yielding the small
-# rows in bulk and every giant row as its own single-row batch, and one
-# extract pool consumes the stream. Giant isolation granularity is then
-# bounded by ``batch_size`` (a giant shares a bundle with at most
-# batch_size-1 small rows) and, above DataContext.target_max_block_size,
-# by Ray's dynamic output-block splitting; per-row budgets bound the
-# worst case regardless.
+# rows in bulk and every giant row as its own single-row batch. Ray Data
+# fuses the split with the extract after it into one task per read block,
+# so the split adds no stage and no object-store round trip. Inside that
+# task the extract re-bundles the split's output to ``batch_size`` rows, so
+# a giant shares a bundle with at most batch_size-1 small rows. Which
+# worker parses a giant is set by the input block it arrived in, not by
+# the split. Per-row budgets bound the worst case regardless.
 
 GIANT_DOC_BYTES = 1_000_000
 
 
 def extract_with_skew_routing(pages_ds, *, giant_bytes: int = GIANT_DOC_BYTES,
                               concurrency=None, batch_size: int = 16):
+    """pages → extracted rows, giants split into their own batches.
+
+    ``concurrency`` is accepted and ignored: existing callers
+    (``perfbench`` among them) still pass a pool size, and honouring it as
+    a task cap would block fusion of the split, the extract and the
+    stages around them."""
     import pyarrow.compute as pc
-    from ..stages.extract import extract_pages
 
     def split(batch: pa.Table):
         sizes = pc.binary_length(batch.column("html"))
@@ -141,8 +146,7 @@ def extract_with_skew_routing(pages_ds, *, giant_bytes: int = GIANT_DOC_BYTES,
             yield giant.slice(i, 1)
 
     routed = pages_ds.map_batches(split, batch_format="pyarrow")
-    return extract_pages(routed, concurrency=concurrency,
-                         batch_size=batch_size)
+    return extract_pages(routed, batch_size=batch_size)
 
 
 def write_quarantine(extracted_ds, out_dir: str):
@@ -163,14 +167,17 @@ def run_extract(input_path: str, out_dir: str, *, concurrency=None,
                 batch_size: int = 16, n_buckets: int = 64,
                 skew_routing: bool = True) -> None:
     """Flagship job: read → extract (skew-routed) → partitioned write.
-    Streaming end-to-end."""
+    Streaming end-to-end; after the read, the split, the extract, the url
+    bucketing and the write run as one fused task operator.
+
+    ``concurrency`` is accepted and ignored: existing callers
+    (``perfbench`` among them) still pass a pool size, and honouring it as
+    a task cap would block that fusion."""
     pages = read_pages(input_path, columns=["url", "warc_ts", "html", "lang"])
     if skew_routing:
-        extracted = extract_with_skew_routing(
-            pages, concurrency=concurrency, batch_size=batch_size)
+        extracted = extract_with_skew_routing(pages, batch_size=batch_size)
     else:
-        extracted = extract_pipeline(pages, concurrency=concurrency,
-                                     batch_size=batch_size)
+        extracted = extract_pipeline(pages, batch_size=batch_size)
     write_extracted(extracted, out_dir, n_buckets)
 
 
@@ -198,8 +205,6 @@ def _main(argv: list[str]) -> int:
     parser.add_argument("--buckets", type=int, default=64,
                         help="url-hash output partitions (default 64)")
     parser.add_argument("--batch-size", type=int, default=16)
-    parser.add_argument("--concurrency", type=int, default=None,
-                        help="actor pool size (default ~75%% of CPUs)")
     parser.add_argument("--no-skew-routing", action="store_true")
     args = parser.parse_args(argv)
 
@@ -208,7 +213,6 @@ def _main(argv: list[str]) -> int:
         ray.init()  # in `ray job submit` this attaches to the cluster
     try:
         run_extract(args.input_path, args.out_dir,
-                    concurrency=args.concurrency,
                     batch_size=args.batch_size,
                     n_buckets=args.buckets,
                     skew_routing=not args.no_skew_routing)

@@ -30,7 +30,7 @@ def _list_parquet_files(input_path: str) -> list[str]:
 
 def run_resumable_extract(input_path: str, out_dir: str, *,
                           files_per_shard: int = 16,
-                          concurrency=None, batch_size: int = 64) -> dict:
+                          batch_size: int = 64) -> dict:
     """Returns global counters accumulated across all (old + new) shards."""
     files = _list_parquet_files(input_path)
     shards = [files[i:i + files_per_shard]
@@ -43,8 +43,7 @@ def run_resumable_extract(input_path: str, out_dir: str, *,
             continue
         pages = read_pages(shard_files,
                            columns=["url", "warc_ts", "html", "lang"])
-        extracted = extract_pipeline(pages, concurrency=concurrency,
-                                     batch_size=batch_size)
+        extracted = extract_pipeline(pages, batch_size=batch_size)
         shard_dir = os.path.join(out_dir, f"shard={shard_id}")
         # a run preempted between write_parquet and mark_done leaves
         # partial files; Ray writes uniquely-named files, so re-running

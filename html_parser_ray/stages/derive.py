@@ -1,7 +1,8 @@
 """Derived-output stages: per-page secondary operators over parsed trees.
 
-Each is a `map_batches(Cls, batch_format="pyarrow")` actor stage that parses
-the html column once and emits a child table (SURVEY.md §2.2 M13-M19, S5):
+Each is a `map_batches(Cls(...), batch_format="pyarrow")` task stage that
+parses the html column once and emits a child table (SURVEY.md §2.2
+M13-M19, S5):
 
 - OutlineStage: one row per heading/section entry (M16)
 - ChunkStage:   one row per size-bounded chunk (M17, flat_map-style)
@@ -193,30 +194,26 @@ class PatchStage:
         })
 
 
-def _pool(ds, cls, num_cpus: float = 1, batch_size: int = 16, **ctor):
-    import ray
-    n = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-    concurrency = max(2, int(n * 0.75 / max(num_cpus, 1e-9)))
-    return ds.map_batches(cls, fn_constructor_kwargs=ctor,
-                          batch_format="pyarrow", batch_size=batch_size,
-                          concurrency=concurrency, num_cpus=num_cpus)
+def _task_map(ds, cls, num_cpus: float = 1, batch_size: int = 16, **ctor):
+    return ds.map_batches(cls(**ctor), batch_format="pyarrow",
+                          batch_size=batch_size, num_cpus=num_cpus)
 
 
 def outline_pages(ds, **kw):
-    return _pool(ds, OutlineStage, **kw)
+    return _task_map(ds, OutlineStage, **kw)
 
 
 def chunk_pages(ds, **kw):
-    return _pool(ds, ChunkStage, **kw)
+    return _task_map(ds, ChunkStage, **kw)
 
 
 def serialize_pages(ds, **kw):
-    return _pool(ds, SerializeStage, **kw)
+    return _task_map(ds, SerializeStage, **kw)
 
 
 def tokens_pages(ds, **kw):
-    return _pool(ds, TokensStage, **kw)
+    return _task_map(ds, TokensStage, **kw)
 
 
 def patch_pages(ds, **kw):
-    return _pool(ds, PatchStage, **kw)
+    return _task_map(ds, PatchStage, **kw)

@@ -1,19 +1,24 @@
-"""ExtractStage — the fused decode→tokenize→tree→visibleText actor stage.
+"""ExtractStage — the fused decode→tokenize→tree→visibleText stage.
 
-Ray-Data-native core operator (SURVEY.md §2.2 M1-M12): a callable CLASS for
-``ds.map_batches(ExtractStage, batch_format="pyarrow", concurrency=(a, b))``.
-Warm per-actor state (compiled regexes, entity trie, interned tables) is
-loaded once at import/__init__; ``__call__`` receives one Arrow batch of
-raw ``html`` bytes per invocation (zero-copy from the object store UP TO
-the stage boundary; the ``to_pylist()`` handoff into the Python kernel
-copies each row's bytes once — unavoidable for a pure-Python parser, and
-irrelevant next to the parse itself, which is the vectorization unit
-here: one row = one full HTML parse) and never raises on a bad row —
-failures become ``status`` / ``error`` columns so one pathological
-document cannot poison a batch retry loop at 10^12-doc scale.
+Ray-Data-native core operator (SURVEY.md §2.2 M1-M12): a stateless callable
+passed as an INSTANCE to ``ds.map_batches(ExtractStage(...),
+batch_format="pyarrow")``, so it runs as a plain map task that Ray Data
+fuses with the skew split, the url bucketing and the write around it (one
+task operator, warm worker processes reused across jobs). Kernel state
+(compiled regexes, entity trie, interned tables) is loaded once per worker
+at import. ``__call__`` receives one Arrow batch of raw ``html`` bytes per
+invocation (zero-copy from the object store UP TO the stage boundary; the
+``to_pylist()`` handoff into the Python kernel copies each row's bytes
+once — unavoidable for a pure-Python parser, and irrelevant next to the
+parse itself, which is the vectorization unit here: one row = one full
+HTML parse) and never raises on a bad row — failures become ``status`` /
+``error`` columns so one pathological document cannot poison a batch retry
+loop at 10^12-doc scale.
 """
 
 from __future__ import annotations
+
+import json
 
 import pyarrow as pa
 
@@ -54,9 +59,6 @@ class ExtractStage:
         self.budgets = budgets
         self.options = options
         self.emit_tokens = emit_tokens
-        # counters: per-actor lineage, cheap to keep warm
-        self.docs_parsed = 0
-        self.docs_failed = 0
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         urls = batch.column("url").to_pylist()
@@ -92,11 +94,9 @@ class ExtractStage:
                 status.append("ok")
                 error.append("")
                 if self.emit_tokens:
-                    import json
                     tokens_json.append(json.dumps(
                         visible_text_tokens(tree, self.options),
                         ensure_ascii=False))
-                self.docs_parsed += 1
             except BudgetExceededError as exc:
                 texts.append("")
                 encodings.append("")
@@ -109,7 +109,6 @@ class ExtractStage:
                 error.append(str(exc))
                 if self.emit_tokens:
                     tokens_json.append("[]")
-                self.docs_failed += 1
             except Exception as exc:  # noqa: BLE001 — quarantine, never crash
                 texts.append("")
                 encodings.append("")
@@ -122,7 +121,6 @@ class ExtractStage:
                 error.append(f"{type(exc).__name__}: {exc}")
                 if self.emit_tokens:
                     tokens_json.append("[]")
-                self.docs_failed += 1
 
         cols = {
             "url": pa.array(urls, pa.string()),
@@ -144,35 +142,30 @@ class ExtractStage:
         return pa.table(cols)
 
 
-def extract_pages(ds, *, concurrency=None, batch_size: int = 16,
-                  num_cpus: float = 1, emit_tokens: bool = False,
+def extract_pages(ds, *, batch_size: int = 16, num_cpus: float = 1,
+                  emit_tokens: bool = False,
                   budgets: Budgets = DEFAULT_BUDGETS,
                   options: VisibleTextOptions = VisibleTextOptions()):
     """Wire the stage: Dataset[pages] → Dataset[extracted].
 
-    ``batch_size`` is row-count and doubles as the actor-dispatch bundle
-    size: pages average tens of KB so 16 rows ≈ ~1 MB of HTML per task —
+    ``batch_size`` is row-count and doubles as the dispatch bundle size:
+    pages average tens of KB so 16 rows ≈ ~1 MB of HTML per call —
     fine-grained enough that a 2 MB giant document doesn't straggle a
     whole multi-megabyte bundle at high parallelism (measured: bs=16 beats
     bs=64 by 1.4x at 32 cpus on a skewed corpus). Giant docs are bounded
     by per-row budgets.
 
-    ``concurrency=None`` sizes a FIXED actor pool to ~75% of cluster CPUs:
-    a pool that reserves every CPU starves the upstream read tasks (deadlock
-    observed at pool=32 on a 32-CPU node), and autoscaling pools ramp too
-    slowly for short jobs (measured 2.5x slower than a fixed pool on a
-    150 MB corpus). The remaining ~25% runs reads + downstream stages.
+    The stage is a task map with no ``concurrency`` cap: Ray Data fuses it
+    with the map stages on either side into one task operator and its
+    scheduler sizes the parallelism to the free CPUs, so no CPU is
+    reserved up front and the read is never starved, even on 1-2 CPUs. A
+    task cap would block that fusion. Tasks run with Ray Data's default
+    ``max_retries=-1``: a task whose worker dies is re-run.
     """
-    if concurrency is None:
-        import ray
-        n = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-        concurrency = max(2, int(n * 0.75 / max(num_cpus, 1e-9)))
     return ds.map_batches(
-        ExtractStage,
-        fn_constructor_kwargs={"budgets": budgets, "options": options,
-                               "emit_tokens": emit_tokens},
+        ExtractStage(budgets=budgets, options=options,
+                     emit_tokens=emit_tokens),
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
         num_cpus=num_cpus,
     )

@@ -6,7 +6,7 @@ token counts, quality features, dedup signatures) and the main-content
 text (for the corpus itself). Running ExtractStage and MainContentStage
 separately parses every document twice — at 100 TB that doubles the
 dominant cost of the whole pipeline. This stage decodes + tokenizes +
-tree-builds once and derives both outputs from the same in-actor DOM
+tree-builds once and derives both outputs from the same in-task DOM
 (the tree never crosses a stage boundary), with the same per-row
 quarantine contract as the other stages.
 """
@@ -32,8 +32,6 @@ class FusedExtractStage:
         self.min_words = min_words
         self.max_link_density_bp = max_link_density_bp
         self.options = options
-        self.docs_parsed = 0
-        self.docs_failed = 0
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         htmls = batch.column("html").to_pylist()
@@ -57,7 +55,6 @@ class FusedExtractStage:
                 n_content.append(sum(1 for b in blocks if b.is_content))
                 status.append("ok")
                 error.append("")
-                self.docs_parsed += 1
             except Exception as exc:  # quarantine, never fail the batch
                 texts.append("")
                 mains.append("")
@@ -65,7 +62,6 @@ class FusedExtractStage:
                 n_content.append(0)
                 status.append("error")
                 error.append(f"{type(exc).__name__}: {exc}"[:500])
-                self.docs_failed += 1
         out = {name: batch.column(name)
                for name in batch.column_names if name != "html"}
         out["text"] = pa.array(texts, pa.string())
@@ -79,18 +75,16 @@ class FusedExtractStage:
 
 def fused_extract_pages(ds, *, concurrency=None, batch_size: int = 16,
                         num_cpus: float = 1, **stage_kwargs):
-    """Dataset[pages] → Dataset[text + main_text rows]. Pool sizing
-    follows extract_pages: fixed pool at ~75% of CPUs."""
-    if concurrency is None:
-        import ray
-        n = int(ray.cluster_resources().get("CPU", 4)) \
-            if ray.is_initialized() else 4
-        concurrency = max(2, int(n * 0.75 / max(num_cpus, 1e-9)))
+    """Dataset[pages] → Dataset[text + main_text rows]. Runs as a fused
+    task map like extract_pages.
+
+    ``concurrency`` is accepted and ignored: existing callers
+    (``perfbench`` among them) still pass a pool size, and honouring it as
+    a task cap would block fusion with the neighbouring map stages.
+    """
     return ds.map_batches(
-        FusedExtractStage,
-        fn_constructor_kwargs=stage_kwargs,
+        FusedExtractStage(**stage_kwargs),
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
         num_cpus=num_cpus,
     )

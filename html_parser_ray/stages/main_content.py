@@ -1,8 +1,8 @@
 """Main-content extraction stage: pages → boilerplate-stripped text.
 
-Ray shape mirrors ExtractStage (stages/extract.py): a stateful actor-pool
+Ray shape mirrors ExtractStage (stages/extract.py): a stateless task
 ``map_batches`` over zero-copy Arrow batches of raw html bytes — decode +
-tokenize + tree-build + segment + classify fused in one actor so the DOM
+tokenize + tree-build + segment + classify fused in one call so the DOM
 never crosses a stage boundary; per-row try/except quarantines bad pages
 into a ``status`` column instead of failing the batch. The classification
 kernel (text density, link density, tag-path chrome context, heading
@@ -34,8 +34,6 @@ class MainContentStage:
         self.min_words = min_words
         self.max_link_density_bp = max_link_density_bp
         self.options = options
-        self.docs_parsed = 0
-        self.docs_failed = 0
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         htmls = batch.column("html").to_pylist()
@@ -57,14 +55,12 @@ class MainContentStage:
                 n_content.append(sum(1 for b in blocks if b.is_content))
                 status.append("ok")
                 error.append("")
-                self.docs_parsed += 1
             except Exception as exc:  # quarantine, never fail the batch
                 texts.append("")
                 n_blocks.append(0)
                 n_content.append(0)
                 status.append("error")
                 error.append(f"{type(exc).__name__}: {exc}"[:500])
-                self.docs_failed += 1
         out = {name: batch.column(name)
                for name in batch.column_names if name != "html"}
         out["main_text"] = pa.array(texts, pa.string())
@@ -75,20 +71,13 @@ class MainContentStage:
         return pa.table(out)
 
 
-def main_content_pages(ds, *, concurrency=None, batch_size: int = 16,
-                       num_cpus: float = 1, **stage_kwargs):
-    """Dataset[pages] → Dataset[main-content rows]. Pool sizing follows
-    extract_pages: fixed pool at ~75% of CPUs (full-size pools starve the
-    upstream read; autoscaling ramps too slowly for short jobs)."""
-    if concurrency is None:
-        import ray
-        n = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-        concurrency = max(2, int(n * 0.75 / max(num_cpus, 1e-9)))
+def main_content_pages(ds, *, batch_size: int = 16, num_cpus: float = 1,
+                       **stage_kwargs):
+    """Dataset[pages] → Dataset[main-content rows]. Runs as a fused task
+    map like extract_pages."""
     return ds.map_batches(
-        MainContentStage,
-        fn_constructor_kwargs=stage_kwargs,
+        MainContentStage(**stage_kwargs),
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
         num_cpus=num_cpus,
     )

@@ -1,10 +1,9 @@
 """PDF text/layout extraction stage (north-star "PDF/layout parse" step).
 
-Same Ray shape as ExtractStage / MainContentStage: stateful actor-pool
-``map_batches`` over zero-copy Arrow batches of raw pdf bytes, per-row
-quarantine into a ``status`` column. The parsing kernel (object scan,
-FlateDecode, content-stream tokenizer, BT/ET text positioning) lives in
-``pdfcore.py`` and is implemented from scratch on the stdlib — no PDF
+A stateful actor-pool ``map_batches`` over zero-copy Arrow batches of raw
+pdf bytes, per-row quarantine into a ``status`` column. The parsing kernel
+(object scan, FlateDecode, content-stream tokenizer, BT/ET text
+positioning) lives in ``pdfcore.py`` and is implemented from scratch on the stdlib — no PDF
 library ships in this environment. Scope: digital-born text PDFs with
 Flate or plain content streams; scanned/CID-font PDFs quarantine
 gracefully (they parse to empty text, not errors).
@@ -67,8 +66,8 @@ class PdfExtractStage:
 
 def pdf_extract_pages(ds, *, concurrency=None, batch_size: int = 16,
                       num_cpus: float = 1):
-    """Dataset[(…, pdf:binary)] → Dataset[extracted]. Pool sizing follows
-    extract_pages (fixed pool, ~75% of CPUs)."""
+    """Dataset[(…, pdf:binary)] → Dataset[extracted] through a fixed actor
+    pool at ~75% of CPUs."""
     if concurrency is None:
         import ray
         n = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4

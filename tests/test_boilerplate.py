@@ -105,7 +105,7 @@ def test_main_content_stage_quarantines_and_counts(ray_session):
         "url": pa.array(["u1", "u2"], pa.string()),
         "html": pa.array(htmls, pa.binary()),
     }))
-    rows = {r["url"]: r for r in main_content_pages(ds, concurrency=2,
+    rows = {r["url"]: r for r in main_content_pages(ds,
                                                     batch_size=2).take_all()}
     assert rows["u1"]["status"] == "ok"
     assert rows["u1"]["n_content_blocks"] == 1

@@ -124,7 +124,7 @@ def test_extract_links_and_host_edges(ray_session):
                         pa.string()),
         "html": pa.array(htmls, pa.binary()),
     }))
-    links = extract_links(ds, concurrency=2, batch_size=2).take_all()
+    links = extract_links(ds, batch_size=2).take_all()
     got = sorted((r["src_url"], r["href"], r["dst_url"]) for r in links)
     assert got == [
         ("http://a.com/d/0", "/p", "http://a.com/p"),
@@ -134,7 +134,7 @@ def test_extract_links_and_host_edges(ray_session):
     ]
 
     edges = host_edges(
-        extract_links(ds, concurrency=2, batch_size=2)).take_all()
+        extract_links(ds, batch_size=2)).take_all()
     got_e = sorted((r["src_host"], r["dst_host"], r["weight"])
                    for r in edges)
     # B.com canonicalizes to lowercase b.com
@@ -160,7 +160,7 @@ def test_anchor_text_extraction(ray_session):
             b"</body></html>")
     tbl = pa.table({"url": pa.array(["http://h.example.com/p"], pa.string()),
                     "html": pa.array([html], pa.binary())})
-    rows = extract_links(ray.data.from_arrow(tbl), concurrency=1,
+    rows = extract_links(ray.data.from_arrow(tbl),
                          batch_size=4).take_all()
     by_href = {r["href"]: r["anchor"] for r in rows}
     assert by_href["/x"] == "plain text"

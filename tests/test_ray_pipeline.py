@@ -1,4 +1,4 @@
-"""Ray Data integration tests: ExtractStage actor stage, rollups, url-hash
+"""Ray Data integration tests: ExtractStage task stage, rollups, url-hash
 partitioned + resumable writes, dedup/ann Dataset operators, and byte-parity
 of the distributed path with the single-doc kernel."""
 
@@ -62,7 +62,7 @@ def test_extract_pages_dataset(ray_session):
     from html_parser_ray.sources.synth import pages_dataset
     from html_parser_ray.stages.extract import extract_pages
     ds = extract_pages(pages_dataset(80, seed=3, parallelism=4),
-                       concurrency=2, batch_size=32)
+                       batch_size=32)
     tbl = pa.Table.from_pylist(ds.take_all())
     assert tbl.num_rows == 80
     assert set(tbl.column("status").to_pylist()) <= {"ok", "budget_exceeded", "error"}
@@ -75,7 +75,7 @@ def test_rollup_stats(ray_session):
     from html_parser_ray.stages.extract import extract_pages
     from html_parser_ray.pipelines.extract import rollup_stats
     extracted = extract_pages(pages_dataset(60, seed=5, parallelism=4),
-                              concurrency=2, batch_size=32)
+                              batch_size=32)
     rolled = pa.Table.from_pylist(rollup_stats(extracted).take_all())
     assert {"lang", "ts_bucket", "docs", "parse_errors", "quirks_docs",
             "text_chars", "failed_docs", "mean_text_chars"} <= \
@@ -89,7 +89,7 @@ def test_partitioned_write_and_lineage(ray_session, tmp_path):
     from html_parser_ray.pipelines.extract import write_extracted
     out_dir = str(tmp_path / "out")
     extracted = extract_pages(pages_dataset(50, seed=9, parallelism=4),
-                              concurrency=2, batch_size=32)
+                              batch_size=32)
     write_extracted(extracted, out_dir, n_buckets=8)
     parts = sorted(d for d in os.listdir(out_dir) if d.startswith("part="))
     assert len(parts) >= 2
@@ -111,11 +111,11 @@ def test_resumable_extract_skips_done_shards(ray_session, tmp_path):
                         start=30)
     out_dir = str(tmp_path / "out")
     counters = run_resumable_extract(in_dir, out_dir, files_per_shard=1,
-                                     concurrency=2, batch_size=32)
+                                     batch_size=32)
     assert counters["docs"] == 60
     # second run must skip everything (manifest present) and keep counters
     counters2 = run_resumable_extract(in_dir, out_dir, files_per_shard=1,
-                                      concurrency=2, batch_size=32)
+                                      batch_size=32)
     assert counters2["docs"] == 60
     manifest_files = os.listdir(os.path.join(out_dir, "_manifest"))
     assert len([f for f in manifest_files if f.endswith(".json")]) == 2
@@ -141,7 +141,7 @@ def test_resumable_extract_replaces_partial_shard_output(ray_session,
                              "n_errors": [0], "quirks_mode": ["no-quirks"]}),
                    os.path.join(shard_dir, "partial_leftover.parquet"))
     counters = run_resumable_extract(in_dir, out_dir, files_per_shard=1,
-                                     concurrency=2, batch_size=32)
+                                     batch_size=32)
     assert counters["docs"] == 30  # not 31 — the stale row is gone
     total = sum(pq.read_table(os.path.join(shard_dir, f)).num_rows
                 for f in os.listdir(shard_dir) if f.endswith(".parquet"))
@@ -183,7 +183,7 @@ def test_resumable_extract_exactly_once_after_worker_sigkill(
 
     clean_out = str(tmp_path / "clean")
     resumable.run_resumable_extract(in_dir, clean_out, files_per_shard=1,
-                                    concurrency=2, batch_size=32)
+                                    batch_size=32)
     expected = collect(clean_out)
     assert len(expected) == 60
 
@@ -207,7 +207,7 @@ def test_resumable_extract_exactly_once_after_worker_sigkill(
     monkeypatch.setattr(resumable, "extract_pipeline", crashing_pipeline)
     crash_out = str(tmp_path / "crash")
     counters = resumable.run_resumable_extract(
-        in_dir, crash_out, files_per_shard=1, concurrency=2,
+        in_dir, crash_out, files_per_shard=1,
         batch_size=32)
     assert os.path.exists(marker), "injection never fired"
     assert counters["docs"] == 60
@@ -253,7 +253,7 @@ def test_resumable_extract_resumes_after_driver_sigkill(
 
     clean_out = str(tmp_path / "clean")
     run_resumable_extract(in_dir, clean_out, files_per_shard=1,
-                          concurrency=2, batch_size=16)
+                          batch_size=16)
     expected = collect(clean_out)
     assert len(expected) == 80  # 8 shards x 10 docs
 
@@ -264,7 +264,7 @@ def test_resumable_extract_resumes_after_driver_sigkill(
         f"sys.path.insert(0, {os.path.dirname(os.path.dirname(os.path.abspath(__file__)))!r})\n"
         "from html_parser_ray.pipelines.resumable import run_resumable_extract\n"
         f"run_resumable_extract({in_dir!r}, {crash_out!r}, files_per_shard=1,\n"
-        "                      concurrency=2, batch_size=16)\n")
+        "                      batch_size=16)\n")
     # own session → killpg reaps the child's raylet/gcs too (a SIGKILLed
     # driver must not leak a second Ray cluster into later tests)
     child = subprocess.Popen([_sys.executable, "-c", child_src],
@@ -301,9 +301,56 @@ def test_resumable_extract_resumes_after_driver_sigkill(
     # 8-shard layout makes a mid-run kill overwhelmingly likely
     assert n_done_at_kill >= 1
     counters = run_resumable_extract(in_dir, crash_out, files_per_shard=1,
-                                     concurrency=2, batch_size=16)
+                                     batch_size=16)
     assert counters["docs"] == 80
     assert collect(crash_out) == expected
+
+
+@pytest.mark.parametrize("num_cpus", [1, 2])
+def test_run_extract_completes_at_low_cpu_counts(tmp_path, num_cpus):
+    """run_extract with its defaults finishes on a 1- and a 2-CPU cluster
+    (a stage that reserves CPUs up front starves the read and hangs
+    there). Each size runs in a child process with its own Ray cluster of
+    exactly that size; the timeout turns a hang into a failure."""
+    import signal
+    import subprocess
+    import sys as _sys
+
+    from html_parser_ray.sources.synth import write_pages_parquet
+
+    in_dir = str(tmp_path / "in")
+    out_dir = str(tmp_path / "out")
+    os.makedirs(in_dir)
+    urls = []
+    for i in range(4):
+        write_pages_parquet(os.path.join(in_dir, f"{i}.parquet"), 20,
+                            seed=i + 1, start=i * 20)
+        urls += pq.read_table(os.path.join(in_dir, f"{i}.parquet"),
+                              columns=["url"]).column("url").to_pylist()
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    child_src = (
+        "import ray, sys\n"
+        f"ray.init(address='local', num_cpus={num_cpus}, "
+        "include_dashboard=False, object_store_memory=200 * 1024 * 1024)\n"
+        f"sys.path.insert(0, {repo!r})\n"
+        "from html_parser_ray.pipelines.extract import run_extract\n"
+        f"run_extract({in_dir!r}, {out_dir!r})\n")
+    child = subprocess.Popen([_sys.executable, "-c", child_src],
+                             start_new_session=True,
+                             stdout=subprocess.DEVNULL,
+                             stderr=subprocess.DEVNULL)
+    try:
+        assert child.wait(timeout=120) == 0
+    except subprocess.TimeoutExpired:
+        raise AssertionError(
+            f"run_extract hung at num_cpus={num_cpus}") from None
+    finally:
+        if child.poll() is None:   # killpg also reaps the child's cluster
+            os.killpg(child.pid, signal.SIGKILL)
+            child.wait()
+    written = pq.read_table(out_dir, columns=["url", "status"])
+    assert sorted(written.column("url").to_pylist()) == sorted(urls)
+    assert set(written.column("status").to_pylist()) == {"ok"}
 
 
 def test_exact_dedup_dataset(ray_session):
@@ -419,7 +466,7 @@ def test_skew_routing_single_scan_complete(ray_session, tmp_path):
     ray.data.from_arrow(tbl).write_parquet(path)
     ds = ray.data.read_parquet(path)
     out = extract_with_skew_routing(ds, giant_bytes=20_000,
-                                    concurrency=2, batch_size=8)
+                                    batch_size=8)
     rows = out.take_all()
     assert len(rows) == 60
     assert sorted(r["url"] for r in rows) == \
@@ -441,7 +488,7 @@ def test_quarantine_write(ray_session, tmp_path):
         "html": pa.array([b"<p>a</p>", big, b"<p>b</p>"], pa.binary()),
         "lang": pa.array(["en"] * 3, pa.string()),
     })
-    extracted = extract_pages(ray.data.from_arrow(tbl), concurrency=2,
+    extracted = extract_pages(ray.data.from_arrow(tbl),
                               batch_size=2,
                               budgets=Budgets(max_input_bytes=1000))
     out_dir = str(tmp_path / "out")
@@ -678,20 +725,30 @@ def test_connected_components_duplicate_and_reversed_pairs(ray_session):
 
 
 def test_flagship_extract_plan_is_shuffle_free(ray_session):
-    # architecture guard: the flagship extract is read -> actor-pool map;
+    # architecture guard: the flagship extract is read -> fused task map;
     # any AllToAll (sort/shuffle/aggregate) appearing in its plan is a
     # scale regression (the 100-TB path must stream without an exchange)
     import ray
+    from html_parser_ray.pipelines.extract import (
+        add_url_bucket, extract_with_skew_routing)
     from html_parser_ray.stages.extract import extract_pages
     tbl = pa.table({
         "url": pa.array([f"u{i}" for i in range(8)], pa.string()),
         "html": pa.array([b"<p>x</p>"] * 8, pa.binary()),
     })
-    ds = extract_pages(ray.data.from_arrow(tbl), concurrency=2, batch_size=4)
+    ds = extract_pages(ray.data.from_arrow(tbl), batch_size=4)
     ds.take_all()
     stats = ds.stats()
     assert "AllToAll" not in stats
     assert "Sort" not in stats
+    # the split, the extract and the url bucketing of run_extract run as
+    # ONE fused task operator; an actor stage or a task cap (concurrency=)
+    # on any of them breaks the fusion
+    ds = add_url_bucket(extract_with_skew_routing(
+        ray.data.from_arrow(tbl), batch_size=4))
+    assert len(ds.take_all()) == 8
+    assert ("MapBatches(split)->MapBatches(ExtractStage)->"
+            "MapBatches(bucketize)") in ds.stats()
 
 
 def test_clean_corpus_pipeline(ray_session):
@@ -977,12 +1034,12 @@ def test_fused_extract_matches_separate_stages(ray_session):
     from html_parser_ray.stages.fused import fused_extract_pages
     pages = pages_dataset(60, seed=11, parallelism=4)
     fused = {r["url"]: r for r in
-             fused_extract_pages(pages, concurrency=2,
+             fused_extract_pages(pages,
                                  batch_size=32).take_all()}
     ext = {r["url"]: r for r in
-           extract_pages(pages, concurrency=2, batch_size=32).take_all()}
+           extract_pages(pages, batch_size=32).take_all()}
     main = {r["url"]: r for r in
-            main_content_pages(pages, concurrency=2,
+            main_content_pages(pages,
                                batch_size=32).take_all()}
     assert set(fused) == set(ext) == set(main)
     for url, f in fused.items():

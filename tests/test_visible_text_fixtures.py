@@ -112,7 +112,7 @@ def test_fixture_corpus_through_ray_pipeline(ray_session):
         "html": pa.array(htmls, pa.binary()),
         "lang": pa.array(["en"] * len(urls), pa.string()),
     })
-    ds = extract_pages(ray.data.from_arrow(pages), concurrency=2,
+    ds = extract_pages(ray.data.from_arrow(pages),
                        batch_size=16)
     rows = ds.take_all()
     assert len(rows) == len(urls)
