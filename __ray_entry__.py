@@ -5,9 +5,9 @@ here calls ray.init()/ray.shutdown().
 
 85 queries cover the engine surface per SURVEY.md §2.11: the HTML
 extraction pipeline (wrap documents.text in deterministic escaped HTML →
-ExtractStage → byte-exact text vs a SQL normalization oracle), boilerplate
-classification / main-content extraction, PDF/layout parse, extraction
-rollups, derived outputs (outline / serialize / visible-token stream /
+DocStage(VISIBLE_TEXT) → byte-exact text vs a SQL normalization oracle),
+boilerplate classification / main-content extraction, PDF/layout parse,
+extraction rollups, derived outputs (outline / serialize / visible-token stream /
 chunks / patch planning), dedup family (exact / MinHash-LSH / SimHash /
 embedding-cosine / connected-components keep-canonical), similarity
 search (brute-force + trained-IVF top-k), text analysis (tokens,
@@ -72,21 +72,19 @@ def _wrap_batch(batch: pa.Table) -> pa.Table:
 
 
 def _extract_batch(batch: pa.Table) -> pa.Table:
-    from html_parser_ray.stages.extract import ExtractStage
-    out = ExtractStage()(batch)
-    return out
+    from html_parser_ray.stages.extract import VISIBLE_TEXT, DocStage
+    return DocStage(VISIBLE_TEXT)(batch)
 
 
 def _extracted_docs(sf_dir: str):
-    """documents → wrapped pages → ExtractStage → (doc_id, text_out, ...)."""
+    """documents → wrapped pages → DocStage → (doc_id, text_out, ...)."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "text", "lang"])
     wrapped = ds.map_batches(_wrap_batch, batch_format="pyarrow")
 
     def run(batch: pa.Table) -> pa.Table:
-        doc_ids = batch.column("doc_id")
         out = _extract_batch(batch)
         return pa.table({
-            "doc_id": doc_ids,
+            "doc_id": out.column("doc_id"),
             "lang": out.column("lang"),
             "text_out": out.column("text"),
             "n_chars": out.column("n_chars"),
@@ -1300,7 +1298,7 @@ def q_main_content(sf_dir: str):
     plants deterministic chrome around the article; the classifier must
     drop all of it and keep h1+p iff the paragraph has >= 5 words, which
     SQL reproduces."""
-    from html_parser_ray.stages.main_content import main_content_pages
+    from html_parser_ray.stages.extract import main_content_pages
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     out = main_content_pages(
@@ -1314,9 +1312,10 @@ def q_main_content(sf_dir: str):
 def q_extract_full(sf_dir: str):
     """Fused single-parse extraction: full visibleText AND main content
     from ONE decode+tokenize+tree pass per document
-    (stages/fused.FusedExtractStage). Running the two stages separately
-    parses every page twice — the dominant cost at 100 TB; the fused
-    stage halves it for pipelines that need both outputs."""
+    (stages/fused: DocStage(VISIBLE_TEXT, MAIN_CONTENT)). Running the two
+    stages separately parses every page twice — the dominant cost at
+    100 TB; the fused stage halves it for pipelines that need both
+    outputs."""
     from html_parser_ray.stages.fused import fused_extract_pages
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
@@ -1356,37 +1355,22 @@ def q_pdf_extract(sf_dir: str):
 def q_outline(sf_dir: str):
     """Parse each wrapped page and emit its heading/section skeleton
     (SURVEY.md M16). Oracle reproduces the deterministic wrap shape."""
-    from html_parser_ray.stages.derive import OutlineStage
+    from html_parser_ray.stages.extract import OUTLINE, DocStage
 
     def run(batch: pa.Table) -> pa.Table:
-        ids = {u: i for u, i in zip(batch.column("url").to_pylist(),
-                                    batch.column("doc_id").to_pylist())}
-        out = OutlineStage()(batch)
-        return pa.table({
-            "doc_id": pa.array([ids[u] for u in out.column("url").to_pylist()],
-                               pa.int64()),
-            "tag_name": out.column("tag_name"),
-            "depth": out.column("depth"),
-            "text": out.column("text"),
-        })
+        return DocStage(OUTLINE)(batch).select(
+            ["doc_id", "tag_name", "depth", "text"])
 
     return _wrapped_pages(sf_dir).map_batches(run, batch_format="pyarrow")
 
 
 def q_serialize_roundtrip(sf_dir: str):
     """bytes → parse → serialize (S5/S6) + raw textContent (M15)."""
-    from html_parser_ray.stages.derive import SerializeStage
+    from html_parser_ray.stages.extract import SERIALIZED, DocStage
 
     def run(batch: pa.Table) -> pa.Table:
-        ids = {u: i for u, i in zip(batch.column("url").to_pylist(),
-                                    batch.column("doc_id").to_pylist())}
-        out = SerializeStage()(batch)
-        return pa.table({
-            "doc_id": pa.array([ids[u] for u in out.column("url").to_pylist()],
-                               pa.int64()),
-            "normalized_html": out.column("normalized_html"),
-            "text_content": out.column("text_content"),
-        })
+        return DocStage(SERIALIZED)(batch).select(
+            ["doc_id", "normalized_html", "text_content"])
 
     return _wrapped_pages(sf_dir).map_batches(run, batch_format="pyarrow")
 
@@ -1395,19 +1379,11 @@ def q_visible_tokens(sf_dir: str):
     """Exploded visible-text token stream with provenance (M13/M14) — the
     per-character-span output of the north star. kind/value sequence is
     SQL-checkable for the deterministic wrap; provenance ids are not."""
-    from html_parser_ray.stages.derive import TokensStage
+    from html_parser_ray.stages.extract import TOKENS, DocStage
 
     def run(batch: pa.Table) -> pa.Table:
-        ids = {u: i for u, i in zip(batch.column("url").to_pylist(),
-                                    batch.column("doc_id").to_pylist())}
-        out = TokensStage()(batch)
-        return pa.table({
-            "doc_id": pa.array([ids[u] for u in out.column("url").to_pylist()],
-                               pa.int64()),
-            "seq": out.column("seq"),
-            "kind": out.column("kind"),
-            "value": out.column("value"),
-        })
+        return DocStage(TOKENS)(batch).select(
+            ["doc_id", "seq", "kind", "value"])
 
     return _wrapped_pages(sf_dir).map_batches(run, batch_format="pyarrow")
 
@@ -1416,15 +1392,12 @@ def q_chunks(sf_dir: str):
     """Size-bounded chunk splits (M17). The deterministic wrap has one
     top-level child, so every page yields exactly one chunk whose node
     count and content length are SQL-derivable."""
-    from html_parser_ray.stages.derive import ChunkStage
+    from html_parser_ray.stages.extract import CHUNKS, DocStage
 
     def run(batch: pa.Table) -> pa.Table:
-        ids = {u: i for u, i in zip(batch.column("url").to_pylist(),
-                                    batch.column("doc_id").to_pylist())}
-        out = ChunkStage()(batch)
+        out = DocStage(CHUNKS)(batch)
         return pa.table({
-            "doc_id": pa.array([ids[u] for u in out.column("url").to_pylist()],
-                               pa.int64()),
+            "doc_id": out.column("doc_id"),
             "chunk_index": out.column("chunk_index"),
             "nodes": out.column("nodes"),
             "n_content_chars": pa.array(
@@ -1719,13 +1692,13 @@ def q_pricing_summary(sf_dir: str):
 
 def entry() -> Any:
     """Flagship: sf0.001 documents wrapped into CC-style pages (input_hint
-    shape: url, warc_ts, html:binary, lang) → ExtractStage task map →
+    shape: url, warc_ts, html:binary, lang) → DocStage task map →
     extracted text + parse metrics Dataset. Driver checks rows >= 0."""
     from html_parser_ray.stages.extract import extract_pages
     ds = _read("/root/testdata/sf0.001", "documents",
                columns=["doc_id", "text", "lang"])
     pages = ds.map_batches(_wrap_batch, batch_format="pyarrow")
-    return extract_pages(pages, batch_size=64)
+    return extract_pages(pages)
 
 
 def queries() -> dict[str, Callable[[str], Any]]:

@@ -67,7 +67,7 @@ def _ensure_corpus(sf: float) -> str:
 
 
 def bench_extract(sf_dir: str) -> dict:
-    """Flagship: CC-scale pages parquet → ExtractStage task map →
+    """Flagship: CC-scale pages parquet → DocStage task map →
     streaming aggregate consumption."""
     import ray
     from html_parser_ray.stages.extract import extract_pages
@@ -165,7 +165,7 @@ def bench_main_content_cc(sf_dir: str) -> dict:
     """Boilerplate-strip throughput over the SAME CC-scale corpus as the
     flagship (real chrome to classify, not the 300-B documents rows)."""
     import ray
-    from html_parser_ray.stages.main_content import main_content_pages
+    from html_parser_ray.stages.extract import main_content_pages
     sf = _sf_label(sf_dir)
     corpus = _ensure_corpus(sf if isinstance(sf, float) else 0.1)
     pages = ray.data.read_parquet(

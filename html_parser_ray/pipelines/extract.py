@@ -1,6 +1,7 @@
 """End-to-end extraction pipelines (Ray-Data-native, streaming).
 
-read_parquet → ExtractStage (fused task map) → write_parquet / rollups.
+read_parquet → DocStage(VISIBLE_TEXT) (fused task map) → write_parquet /
+rollups.
 Wide steps: rollups pre-aggregate inside map_batches before the small
 groupby; partitioning key is hash(url) (north rule) for resumable output.
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.extract import ExtractStage, extract_pages, DEFAULT_BUDGETS
+from ..stages.extract import extract_pages
 
 
 def read_pages(sf_dir_or_path: str, columns: list[str] | None = None):
@@ -19,7 +20,7 @@ def read_pages(sf_dir_or_path: str, columns: list[str] | None = None):
     return ray.data.read_parquet(sf_dir_or_path, columns=columns)
 
 
-def extract_pipeline(pages_ds, *, batch_size: int = 64):
+def extract_pipeline(pages_ds, *, batch_size: int = 16):
     """pages → extracted text Dataset (streaming, never materializes)."""
     return extract_pages(pages_ds, batch_size=batch_size)
 
@@ -164,8 +165,7 @@ def write_quarantine(extracted_ds, out_dir: str):
 
 
 def run_extract(input_path: str, out_dir: str, *, concurrency=None,
-                batch_size: int = 16, n_buckets: int = 64,
-                skew_routing: bool = True) -> None:
+                batch_size: int = 16, n_buckets: int = 64) -> None:
     """Flagship job: read → extract (skew-routed) → partitioned write.
     Streaming end-to-end; after the read, the split, the extract, the url
     bucketing and the write run as one fused task operator.
@@ -174,11 +174,8 @@ def run_extract(input_path: str, out_dir: str, *, concurrency=None,
     (``perfbench`` among them) still pass a pool size, and honouring it as
     a task cap would block that fusion."""
     pages = read_pages(input_path, columns=["url", "warc_ts", "html", "lang"])
-    if skew_routing:
-        extracted = extract_with_skew_routing(pages, batch_size=batch_size)
-    else:
-        extracted = extract_pipeline(pages, batch_size=batch_size)
-    write_extracted(extracted, out_dir, n_buckets)
+    write_extracted(extract_with_skew_routing(pages, batch_size=batch_size),
+                    out_dir, n_buckets)
 
 
 # --------------------------------------------------------------------------
@@ -205,7 +202,6 @@ def _main(argv: list[str]) -> int:
     parser.add_argument("--buckets", type=int, default=64,
                         help="url-hash output partitions (default 64)")
     parser.add_argument("--batch-size", type=int, default=16)
-    parser.add_argument("--no-skew-routing", action="store_true")
     args = parser.parse_args(argv)
 
     import ray
@@ -214,8 +210,7 @@ def _main(argv: list[str]) -> int:
     try:
         run_extract(args.input_path, args.out_dir,
                     batch_size=args.batch_size,
-                    n_buckets=args.buckets,
-                    skew_routing=not args.no_skew_routing)
+                    n_buckets=args.buckets)
     finally:
         ray.shutdown()
     return 0

@@ -30,7 +30,7 @@ def _list_parquet_files(input_path: str) -> list[str]:
 
 def run_resumable_extract(input_path: str, out_dir: str, *,
                           files_per_shard: int = 16,
-                          batch_size: int = 64) -> dict:
+                          batch_size: int = 16) -> dict:
     """Returns global counters accumulated across all (old + new) shards."""
     files = _list_parquet_files(input_path)
     shards = [files[i:i + files_per_shard]

@@ -1,30 +1,36 @@
-"""ExtractStage — the fused decode→tokenize→tree→visibleText stage.
+"""DocStage — the one parse-per-document stage, and the projections it emits.
 
-Ray-Data-native core operator (SURVEY.md §2.2 M1-M12): a stateless callable
-passed as an INSTANCE to ``ds.map_batches(ExtractStage(...),
-batch_format="pyarrow")``, so it runs as a plain map task that Ray Data
-fuses with the skew split, the url bucketing and the write around it (one
-task operator, warm worker processes reused across jobs). Kernel state
-(compiled regexes, entity trie, interned tables) is loaded once per worker
-at import. ``__call__`` receives one Arrow batch of raw ``html`` bytes per
-invocation (zero-copy from the object store UP TO the stage boundary; the
-``to_pylist()`` handoff into the Python kernel copies each row's bytes
-once — unavoidable for a pure-Python parser, and irrelevant next to the
-parse itself, which is the vectorization unit here: one row = one full
-HTML parse) and never raises on a bad row — failures become ``status`` /
-``error`` columns so one pathological document cannot poison a batch retry
-loop at 10^12-doc scale.
+Every HTML output of the engine (visible text, main content, outline,
+chunks, serialization, the token stream) is a *projection*: a plain
+function of the parsed tree. ``DocStage`` decodes, tokenizes and builds
+the tree once per page under one resource budget, applies each projection
+it was given to that tree, and owns the quarantine contract and the output
+schema, so a pipeline that needs several outputs parses each page once
+(operator fusion over one scan) and no output can quarantine differently.
+
+It is a stateless callable passed as an INSTANCE to
+``ds.map_batches(DocStage(...), batch_format="pyarrow")``, so it runs as a
+plain map task that Ray Data fuses with the skew split, the url bucketing
+and the write around it (one task operator, warm worker processes reused
+across jobs). Kernel state (compiled regexes, entity trie, interned
+tables) is loaded once per worker at import. ``to_pylist()`` copies each
+row's html bytes into the Python kernel once — unavoidable for a
+pure-Python parser, and small next to the parse itself, which is the
+vectorization unit here: one row = one full HTML parse.
 """
 
 from __future__ import annotations
 
-import json
+from collections.abc import Callable
+from typing import NamedTuple
 
 import pyarrow as pa
 
 from ..htmlcore.api import parse_bytes, Budgets, BudgetExceededError
+from ..htmlcore.boilerplate import classify_blocks, segment_blocks
 from ..htmlcore.extract import (
-    visible_text, visible_text_tokens, VisibleTextOptions,
+    chunk, outline, serialize, text_content, visible_text,
+    visible_text_tokens_with_provenance,
 )
 
 # per-row resource guards, generous enough for real pages, tight enough to
@@ -33,120 +39,159 @@ from ..htmlcore.extract import (
 DEFAULT_BUDGETS = Budgets(max_input_bytes=64 * 1024 * 1024,
                           max_nodes=2_000_000, max_depth=4_096)
 
-OUTPUT_SCHEMA = pa.schema([
-    ("url", pa.string()),
-    ("warc_ts", pa.timestamp("us")),
-    ("lang", pa.string()),
-    ("text", pa.string()),
-    ("n_chars", pa.int64()),
-    ("encoding", pa.string()),
-    ("sniff_source", pa.string()),
-    ("n_nodes", pa.int64()),
-    ("max_depth", pa.int64()),
-    ("n_errors", pa.int64()),
-    ("quirks_mode", pa.string()),
-    ("status", pa.string()),
-    ("error", pa.string()),
-])
+
+class Projection(NamedTuple):
+    """One output read off a parsed tree: ``rows(tree)`` returns a list of
+    row dicts keyed by the names of ``fields`` (one row per page for
+    per-page outputs, one per entry for outline/chunk/token tables)."""
+    fields: pa.Schema
+    rows: Callable[..., list[dict]]
 
 
-class ExtractStage:
-    """url,warc_ts,html,lang → extracted text + parse metrics (one row/row)."""
+def _visible_text(tree) -> list[dict]:
+    text = visible_text(tree)
+    sniff = tree.encoding
+    return [{"text": text, "n_chars": len(text), "encoding": sniff.encoding,
+             "sniff_source": sniff.source, "n_nodes": tree.n_nodes,
+             "max_depth": tree.max_depth, "n_errors": len(tree.errors),
+             "quirks_mode": tree.quirks_mode}]
 
-    def __init__(self, budgets: Budgets = DEFAULT_BUDGETS,
-                 options: VisibleTextOptions = VisibleTextOptions(),
-                 emit_tokens: bool = False):
+
+def _main_content(tree) -> list[dict]:
+    # boilerplate classification (htmlcore/boilerplate.py) with the
+    # kernel's default thresholds
+    blocks = classify_blocks(segment_blocks(tree))
+    content = [b.text for b in blocks if b.is_content]
+    return [{"main_text": "\n\n".join(content), "n_blocks": len(blocks),
+             "n_content_blocks": len(content)}]
+
+
+def _outline(tree) -> list[dict]:
+    return [{"node_id": e["nodeId"], "depth": e["depth"],
+             "tag_name": e["tagName"], "text": e["text"]}
+            for e in outline(tree)]
+
+
+def _chunks(tree, max_chars: int = 8192, max_nodes: int = 256) -> list[dict]:
+    return [{"chunk_index": c["index"], "node_id": c["nodeId"],
+             "content": c["content"], "nodes": c["nodes"]}
+            for c in chunk(tree, max_chars, max_nodes)]
+
+
+def _serialized(tree) -> list[dict]:
+    return [{"normalized_html": serialize(tree),
+             "text_content": text_content(tree)}]
+
+
+def _tokens(tree) -> list[dict]:
+    return [{"seq": seq, "kind": tok["kind"], "value": tok["value"],
+             "source_node_id": tok.get("sourceNodeId", -1),
+             "source_role": tok.get("sourceRole", "")}
+            for seq, tok in enumerate(
+                visible_text_tokens_with_provenance(tree))]
+
+
+_S, _I = pa.string(), pa.int64()
+
+VISIBLE_TEXT = Projection(pa.schema({
+    "text": _S, "n_chars": _I, "encoding": _S, "sniff_source": _S,
+    "n_nodes": _I, "max_depth": _I, "n_errors": _I, "quirks_mode": _S,
+}), _visible_text)
+MAIN_CONTENT = Projection(pa.schema({
+    "main_text": _S, "n_blocks": _I, "n_content_blocks": _I,
+}), _main_content)
+# heading/section skeleton (SURVEY.md M16)
+OUTLINE = Projection(pa.schema({
+    "node_id": _I, "depth": _I, "tag_name": _S, "text": _S,
+}), _outline)
+# size-bounded splits (M17); other limits: CHUNKS._replace(rows=partial(...))
+CHUNKS = Projection(pa.schema({
+    "chunk_index": _I, "node_id": _I, "content": _S, "nodes": _I,
+}), _chunks)
+# normalized html + raw textContent (S5/S6, M15)
+SERIALIZED = Projection(pa.schema({
+    "normalized_html": _S, "text_content": _S,
+}), _serialized)
+# visible-text token stream with provenance, exploded (M13/M14)
+TOKENS = Projection(pa.schema({
+    "seq": _I, "kind": _S, "value": _S, "source_node_id": _I,
+    "source_role": _S,
+}), _tokens)
+
+# what run_extract writes: the columns it reads minus html, then
+# VISIBLE_TEXT, then the quarantine columns
+OUTPUT_SCHEMA = pa.schema(
+    [pa.field("url", _S), pa.field("warc_ts", pa.timestamp("us")),
+     pa.field("lang", _S), *VISIBLE_TEXT.fields,
+     pa.field("status", _S), pa.field("error", _S)])
+
+
+class DocStage:
+    """Parse each page's ``html`` once under ``budgets`` and emit the rows
+    of every projection.
+
+    Columns: every input column except ``html`` is carried through, then
+    the projections' fields in order (a projection field replaces an input
+    column of the same name), then ``status`` and ``error``.
+
+    Rows: a page's rows are the product of its projections' row lists, so
+    per-page projections together give one row per page, and an ok page
+    with no outline entries gives no outline rows.
+
+    Quarantine: a page whose parse or any projection raises gives exactly
+    one row, with ``status`` ``"budget_exceeded"`` for a
+    ``BudgetExceededError`` and ``"error"`` for anything else, ``error``
+    ``"<ExceptionClass>: <message>"`` cut to 500 characters, and projection
+    columns ``""`` or ``0``. One pathological page never fails the batch,
+    which at 10^12 documents would poison the retry loop. Ok rows have
+    ``status="ok"`` and ``error=""``.
+    """
+
+    def __init__(self, *projections: Projection,
+                 budgets: Budgets = DEFAULT_BUDGETS):
+        self.projections = projections
         self.budgets = budgets
-        self.options = options
-        self.emit_tokens = emit_tokens
+        self.fields = [f for p in projections for f in p.fields]
+        self.failed_row = {f.name: "" if pa.types.is_string(f.type) else 0
+                           for f in self.fields}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch.column("url").to_pylist()
-        htmls = batch.column("html").to_pylist()
-        ts = (batch.column("warc_ts").to_pylist()
-              if "warc_ts" in batch.column_names else [None] * len(urls))
-        langs = (batch.column("lang").to_pylist()
-                 if "lang" in batch.column_names else [""] * len(urls))
-
-        texts: list[str] = []
-        encodings: list[str] = []
-        sources: list[str] = []
-        n_nodes: list[int] = []
-        max_depth: list[int] = []
-        n_errors: list[int] = []
-        quirks: list[str] = []
+        row_index: list[int] = []
+        rows: list[dict] = []
         status: list[str] = []
         error: list[str] = []
-        tokens_json: list[str] = []
-
-        for html in htmls:
+        for i, html in enumerate(batch.column("html").to_pylist()):
             try:
                 tree = parse_bytes(html, budgets=self.budgets)
-                text = visible_text(tree, self.options)
-                texts.append(text)
-                sniff = tree.encoding  # type: ignore[attr-defined]
-                encodings.append(sniff.encoding)
-                sources.append(sniff.source)
-                n_nodes.append(tree.n_nodes)
-                max_depth.append(tree.max_depth)
-                n_errors.append(len(tree.errors))
-                quirks.append(tree.quirks_mode)
-                status.append("ok")
-                error.append("")
-                if self.emit_tokens:
-                    tokens_json.append(json.dumps(
-                        visible_text_tokens(tree, self.options),
-                        ensure_ascii=False))
-            except BudgetExceededError as exc:
-                texts.append("")
-                encodings.append("")
-                sources.append("")
-                n_nodes.append(0)
-                max_depth.append(0)
-                n_errors.append(0)
-                quirks.append("")
-                status.append("budget_exceeded")
-                error.append(str(exc))
-                if self.emit_tokens:
-                    tokens_json.append("[]")
+                page = [{}]
+                for projection in self.projections:
+                    more = projection.rows(tree)
+                    page = [{**row, **extra} for row in page for extra in more]
+                code, reason = "ok", ""
             except Exception as exc:  # noqa: BLE001 — quarantine, never crash
-                texts.append("")
-                encodings.append("")
-                sources.append("")
-                n_nodes.append(0)
-                max_depth.append(0)
-                n_errors.append(0)
-                quirks.append("")
-                status.append("error")
-                error.append(f"{type(exc).__name__}: {exc}")
-                if self.emit_tokens:
-                    tokens_json.append("[]")
+                page = [self.failed_row]
+                code = ("budget_exceeded"
+                        if isinstance(exc, BudgetExceededError) else "error")
+                reason = f"{type(exc).__name__}: {exc}"[:500]
+            row_index += [i] * len(page)
+            rows += page
+            status += [code] * len(page)
+            error += [reason] * len(page)
 
-        cols = {
-            "url": pa.array(urls, pa.string()),
-            "warc_ts": pa.array(ts, pa.timestamp("us")),
-            "lang": pa.array(langs, pa.string()),
-            "text": pa.array(texts, pa.string()),
-            "n_chars": pa.array([len(t) for t in texts], pa.int64()),
-            "encoding": pa.array(encodings, pa.string()),
-            "sniff_source": pa.array(sources, pa.string()),
-            "n_nodes": pa.array(n_nodes, pa.int64()),
-            "max_depth": pa.array(max_depth, pa.int64()),
-            "n_errors": pa.array(n_errors, pa.int64()),
-            "quirks_mode": pa.array(quirks, pa.string()),
-            "status": pa.array(status, pa.string()),
-            "error": pa.array(error, pa.string()),
-        }
-        if self.emit_tokens:
-            cols["tokens"] = pa.array(tokens_json, pa.string())
-        return pa.table(cols)
+        emitted = {"html", "status", "error", *(f.name for f in self.fields)}
+        carried = batch.select([name for name in batch.column_names
+                                if name not in emitted]).take(row_index)
+        out = dict(zip(carried.column_names, carried.columns))
+        for f in self.fields:
+            out[f.name] = pa.array([row[f.name] for row in rows], f.type)
+        out["status"] = pa.array(status, _S)
+        out["error"] = pa.array(error, _S)
+        return pa.table(out)
 
 
-def extract_pages(ds, *, batch_size: int = 16, num_cpus: float = 1,
-                  emit_tokens: bool = False,
-                  budgets: Budgets = DEFAULT_BUDGETS,
-                  options: VisibleTextOptions = VisibleTextOptions()):
-    """Wire the stage: Dataset[pages] → Dataset[extracted].
+def extract_pages(ds, *, batch_size: int = 16,
+                  budgets: Budgets = DEFAULT_BUDGETS):
+    """Wire the stage: Dataset[pages] → Dataset[DocStage(VISIBLE_TEXT)].
 
     ``batch_size`` is row-count and doubles as the dispatch bundle size:
     pages average tens of KB so 16 rows ≈ ~1 MB of HTML per call —
@@ -162,10 +207,13 @@ def extract_pages(ds, *, batch_size: int = 16, num_cpus: float = 1,
     task cap would block that fusion. Tasks run with Ray Data's default
     ``max_retries=-1``: a task whose worker dies is re-run.
     """
-    return ds.map_batches(
-        ExtractStage(budgets=budgets, options=options,
-                     emit_tokens=emit_tokens),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        num_cpus=num_cpus,
-    )
+    return ds.map_batches(DocStage(VISIBLE_TEXT, budgets=budgets),
+                          batch_format="pyarrow", batch_size=batch_size)
+
+
+def main_content_pages(ds, *, batch_size: int = 16):
+    """Dataset[pages] → Dataset[DocStage(MAIN_CONTENT)]: boilerplate-
+    stripped text (no counterpart in the reference, which stops at
+    visibleText). Wired like extract_pages."""
+    return ds.map_batches(DocStage(MAIN_CONTENT), batch_format="pyarrow",
+                          batch_size=batch_size)

@@ -96,7 +96,7 @@ def test_main_content_end_to_end():
 
 def test_main_content_stage_quarantines_and_counts(ray_session):
     import ray
-    from html_parser_ray.stages.main_content import main_content_pages
+    from html_parser_ray.stages.extract import main_content_pages
     htmls = [
         b"<p>good page with plenty of words for the classifier</p>",
         b"<nav><a href=/>only nav links</a></nav>",

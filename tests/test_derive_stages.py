@@ -1,17 +1,21 @@
-"""Derived-output stage tests: outline/chunk/serialize/tokens/patch over
-page batches, matching the single-doc kernel per url."""
+"""Derived-output stage tests: outline/chunk/serialize/tokens projections
+and patch planning over page batches, matching the single-doc kernel per
+url."""
 
+import functools
 import json
 
 import pyarrow as pa
+import pytest
 
 from html_parser_ray.htmlcore.api import parse_bytes
 from html_parser_ray.htmlcore.extract import (
     outline, serialize, text_content, visible_text_tokens_with_provenance,
 )
 from html_parser_ray.sources.synth import make_table
-from html_parser_ray.stages.derive import (
-    ChunkStage, OutlineStage, PatchStage, SerializeStage, TokensStage,
+from html_parser_ray.stages.derive import PatchStage
+from html_parser_ray.stages.extract import (
+    CHUNKS, OUTLINE, SERIALIZED, TOKENS, DocStage,
 )
 
 
@@ -21,7 +25,7 @@ def _pages(n=40, seed=11):
 
 def test_outline_stage_matches_kernel():
     pages = _pages()
-    out = OutlineStage()(pages)
+    out = DocStage(OUTLINE)(pages)
     per_url: dict[str, list] = {}
     for url, tag in zip(out.column("url").to_pylist(),
                         out.column("tag_name").to_pylist()):
@@ -34,7 +38,7 @@ def test_outline_stage_matches_kernel():
 
 def test_serialize_stage_matches_kernel():
     pages = _pages()
-    out = SerializeStage()(pages)
+    out = DocStage(SERIALIZED)(pages)
     for url, html, ser, txt in zip(pages.column("url").to_pylist(),
                                    pages.column("html").to_pylist(),
                                    out.column("normalized_html").to_pylist(),
@@ -52,7 +56,7 @@ def test_serialize_roundtrip_stable():
     from html_parser_ray.htmlcore.api import parse
     from html_parser_ray.htmlcore.normalize import normalize_tree
     pages = _pages()
-    out = SerializeStage()(pages)
+    out = DocStage(SERIALIZED)(pages)
     for html, ser in zip(pages.column("html").to_pylist(),
                          out.column("normalized_html").to_pylist()):
         tree1 = parse_bytes(html)
@@ -69,14 +73,15 @@ def test_serialize_roundtrip_stable():
 
 def test_chunk_stage_bounded():
     pages = _pages()
-    out = ChunkStage(max_chars=2000)(pages)
+    out = DocStage(CHUNKS._replace(
+        rows=functools.partial(CHUNKS.rows, max_chars=2000)))(pages)
     assert out.num_rows >= pages.num_rows  # at least one chunk per page
     assert all(n >= 1 for n in out.column("nodes").to_pylist())
 
 
 def test_tokens_stage_matches_kernel():
     pages = _pages()
-    out = TokensStage()(pages)
+    out = DocStage(TOKENS)(pages)
     per_url: dict[str, list] = {}
     for url, kind, value in zip(out.column("url").to_pylist(),
                                 out.column("kind").to_pylist(),
@@ -88,6 +93,30 @@ def test_tokens_stage_matches_kernel():
                     for t in visible_text_tokens_with_provenance(
                         parse_bytes(html))]
         assert per_url.get(url, []) == expected, url
+
+
+@pytest.mark.parametrize("projection", [OUTLINE, CHUNKS, SERIALIZED,
+                                        TOKENS])
+def test_derived_tables_count_failed_pages(projection):
+    """A page over the depth budget gives exactly one quarantine row in
+    every derived table, never zero rows."""
+    pages = _pages(4)
+    deep = pa.table({
+        "url": pa.array(["http://deep.example/"], pa.string()),
+        "html": pa.array([b"<body>" + b"<div>" * 5000 + b"x"], pa.binary()),
+    })
+    batch = pa.concat_tables([pages.select(["url", "html"]), deep])
+    out = DocStage(projection)(batch)
+    failed = [r for r in out.to_pylist() if r["url"] == "http://deep.example/"]
+    assert len(failed) == 1
+    assert failed[0]["status"] == "budget_exceeded"
+    assert failed[0]["error"].startswith("BudgetExceededError: ")
+    assert {failed[0][f.name] for f in projection.fields} <= {"", 0}
+    ok = [r for r in out.to_pylist() if r["url"] != "http://deep.example/"]
+    assert {r["status"] for r in ok} == {"ok"}
+    assert {r["error"] for r in ok} == {""}
+    assert out.column_names == ["url", *projection.fields.names,
+                                "status", "error"]
 
 
 def test_patch_stage_applies_and_quarantines():

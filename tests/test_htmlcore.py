@@ -457,11 +457,11 @@ def test_deep_document_over_budget_raises_budget_error():
 
 
 def test_deep_document_through_extract_stage(ray_session):
-    """End-to-end: the actor stage emits status=ok with the right text
+    """End-to-end: the document stage emits status=ok with the right text
     for an in-budget deep page, and a budget status for an over-budget
     one — neither poisons the batch."""
     import pyarrow as pa
-    from html_parser_ray.stages.extract import ExtractStage
+    from html_parser_ray.stages.extract import VISIBLE_TEXT, DocStage
     deep_ok = ("<body>" + "<div>" * 4000 + "deep text"
                + "</div>" * 4000).encode()
     too_deep = ("<body>" + "<div>" * 5000 + "x").encode()
@@ -469,7 +469,7 @@ def test_deep_document_through_extract_stage(ray_session):
         "url": pa.array(["http://a/ok", "http://a/deep"], pa.string()),
         "html": pa.array([deep_ok, too_deep], pa.binary()),
     })
-    out = ExtractStage()(batch)
+    out = DocStage(VISIBLE_TEXT)(batch)
     rows = {u: (s, t) for u, s, t in zip(out.column("url").to_pylist(),
                                          out.column("status").to_pylist(),
                                          out.column("text").to_pylist())}

@@ -1,4 +1,4 @@
-"""Ray Data integration tests: ExtractStage task stage, rollups, url-hash
+"""Ray Data integration tests: DocStage task stage, rollups, url-hash
 partitioned + resumable writes, dedup/ann Dataset operators, and byte-parity
 of the distributed path with the single-doc kernel."""
 
@@ -28,9 +28,13 @@ def test_synth_pages_schema(pages_table):
 
 def test_extract_stage_matches_kernel(pages_table):
     """Distributed stage output == single-doc kernel output, per url."""
-    from html_parser_ray.stages.extract import ExtractStage
-    out = ExtractStage()(pages_table)
+    from html_parser_ray.stages.extract import (
+        OUTPUT_SCHEMA, VISIBLE_TEXT, DocStage)
+    out = DocStage(VISIBLE_TEXT)(pages_table)
     assert out.num_rows == pages_table.num_rows
+    # carried columns, projection fields (text replaces the input's
+    # ground-truth text), status, error: the run_extract file layout
+    assert out.schema == OUTPUT_SCHEMA
     htmls = pages_table.column("html").to_pylist()
     texts = out.column("text").to_pylist()
     statuses = out.column("status").to_pylist()
@@ -41,7 +45,7 @@ def test_extract_stage_matches_kernel(pages_table):
 
 
 def test_extract_stage_quarantines_bad_rows():
-    from html_parser_ray.stages.extract import ExtractStage, DEFAULT_BUDGETS
+    from html_parser_ray.stages.extract import VISIBLE_TEXT, DocStage
     from html_parser_ray.htmlcore.api import Budgets
     import datetime
     big = b"<p>" + b"x" * 1000
@@ -52,7 +56,7 @@ def test_extract_stage_quarantines_bad_rows():
         "html": pa.array([b"<p>fine</p>", big], pa.binary()),
         "lang": pa.array(["en", "en"], pa.string()),
     })
-    stage = ExtractStage(budgets=Budgets(max_input_bytes=100))
+    stage = DocStage(VISIBLE_TEXT, budgets=Budgets(max_input_bytes=100))
     out = stage(batch)
     assert out.column("status").to_pylist() == ["ok", "budget_exceeded"]
     assert out.column("text").to_pylist()[0] == "fine"
@@ -747,7 +751,7 @@ def test_flagship_extract_plan_is_shuffle_free(ray_session):
     ds = add_url_bucket(extract_with_skew_routing(
         ray.data.from_arrow(tbl), batch_size=4))
     assert len(ds.take_all()) == 8
-    assert ("MapBatches(split)->MapBatches(ExtractStage)->"
+    assert ("MapBatches(split)->MapBatches(DocStage)->"
             "MapBatches(bucketize)") in ds.stats()
 
 
@@ -1027,12 +1031,20 @@ def test_clean_corpus_checkpoint_param_mismatch_raises(ray_session,
 
 def test_fused_extract_matches_separate_stages(ray_session):
     # one parse must reproduce BOTH stages' outputs per row
+    import datetime
     import ray
-    from html_parser_ray.sources.synth import pages_dataset
-    from html_parser_ray.stages.extract import extract_pages
-    from html_parser_ray.stages.main_content import main_content_pages
+    from html_parser_ray.sources.synth import SCHEMA, pages_dataset
+    from html_parser_ray.stages.extract import (
+        extract_pages, main_content_pages)
     from html_parser_ray.stages.fused import fused_extract_pages
-    pages = pages_dataset(60, seed=11, parallelism=4)
+    # over the depth budget: every wiring parses under the same budgets
+    deep = pa.Table.from_pylist([{
+        "url": "http://deep.example/",
+        "warc_ts": datetime.datetime(2024, 1, 1),
+        "html": b"<body>" + b"<div>" * 5000 + b"x", "text": "", "lang": "en",
+    }], schema=SCHEMA)
+    pages = pages_dataset(60, seed=11, parallelism=4).union(
+        ray.data.from_arrow(deep))
     fused = {r["url"]: r for r in
              fused_extract_pages(pages,
                                  batch_size=32).take_all()}
@@ -1042,6 +1054,9 @@ def test_fused_extract_matches_separate_stages(ray_session):
             main_content_pages(pages,
                                batch_size=32).take_all()}
     assert set(fused) == set(ext) == set(main)
+    assert (fused["http://deep.example/"]["status"]
+            == ext["http://deep.example/"]["status"]
+            == main["http://deep.example/"]["status"] == "budget_exceeded")
     for url, f in fused.items():
         if f["status"] != "ok":
             continue

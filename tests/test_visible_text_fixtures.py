@@ -85,7 +85,7 @@ def test_corpus_minimum_sizes():
 
 def test_fixture_corpus_through_ray_pipeline(ray_session):
     """North-rule invariant end-to-end: the reference's fixture corpus as a
-    CC-style pages table → ExtractStage actor pool → byte-identical text
+    CC-style pages table → DocStage task map → byte-identical text
     per url."""
     import datetime
     import pyarrow as pa
