@@ -74,7 +74,13 @@ def shard_assign_batch(batch: pa.Table, *, n_shards: int = 64,
 
     Embarrassingly parallel (stateless per-row hash, no shuffle); the
     only data movement is the write-side partition-by-shard, which
-    write_parquet does per block without an all-to-all."""
+    write_parquet does per block without an all-to-all.
+
+    The batch comes back as one contiguous record batch: the
+    partitioned write puts each chunk's slice of each shard in its own
+    row group, so a chunked batch would scatter a shard file into many
+    tiny row groups."""
+    batch = batch.combine_chunks()
     ids = batch.column(id_col).to_pylist()
     keys = np.array([_md5_low64_str(f"{i}:{salt}") for i in ids],
                     dtype=np.uint64) & np.uint64((1 << 63) - 1)
@@ -101,7 +107,9 @@ def write_training_shards(ds, out_dir: str, *, n_shards: int = 64,
     Resumable-output shape: each shard directory is independently
     complete, so a failed run reruns only missing shards; no single
     giant file. Partitioning happens per block inside write_parquet —
-    no global shuffle."""
+    no global shuffle. Each write task puts one row group in each shard
+    file it writes (``shard_assign_batch`` hands it contiguous
+    batches)."""
     shard_assign(ds, n_shards=n_shards, salt=salt,
                  id_col=id_col).write_parquet(
         out_dir, partition_cols=["shard"])

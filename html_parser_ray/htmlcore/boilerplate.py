@@ -25,10 +25,11 @@ public):
      content blocks is promoted (caption / single-sentence paragraphs).
 3. **Emit**: content blocks joined with blank lines.
 
-This module is the per-document kernel; the Ray stage wiring lives in
-``stages/main_content.py``. No counterpart exists in the reference repo
-(it stops at visibleText — src/internal/text/visible-text.ts); the
-heuristics follow the published literature instead.
+This module is the per-document kernel; the Ray stage wiring is the
+``MAIN_CONTENT`` projection of ``DocStage`` in ``stages/extract.py``. No
+counterpart exists in the reference repo (it stops at visibleText —
+src/internal/text/visible-text.ts); the heuristics follow the published
+literature instead.
 """
 
 from __future__ import annotations

@@ -92,19 +92,34 @@ def rollup_stats(extracted_ds):
 # url-hash partitioning (north rule): deterministic lineage key
 
 def add_url_bucket(ds, n_buckets: int = 64):
-    """Append part = hash(url) % n_buckets (deterministic, shuffle-free)."""
+    """Append part = hash(url) % n_buckets (deterministic, shuffle-free).
+
+    Each output batch is one contiguous record batch. Ray Data hands the
+    map the stage's small outputs concatenated but not merged, and
+    ``write_parquet(partition_cols=...)`` writes every chunk's slice of
+    every bucket as its own row group (about one row per row group on
+    small pages). Combined, a task writes one row group per ``part=K``
+    file, so a job writes at most tasks × buckets files of one row group
+    each. The copy is one Ray block, which Ray Data splits near its
+    128 MiB target block size, so 32-bit string offsets cannot
+    overflow."""
     import zlib
 
     def bucketize(batch: pa.Table) -> pa.Table:
         urls = batch.column("url").to_pylist()
         part = [zlib.crc32(u.encode()) % n_buckets for u in urls]
-        return batch.append_column("part", pa.array(part, pa.int32()))
+        return batch.combine_chunks().append_column(
+            "part", pa.array(part, pa.int32()))
 
     return ds.map_batches(bucketize, batch_format="pyarrow")
 
 
 def write_extracted(extracted_ds, out_dir: str, n_buckets: int = 64):
-    """Partitioned, resumable-friendly output: out_dir/part=K/*.parquet."""
+    """Partitioned, resumable-friendly output: out_dir/part=K/*.parquet.
+
+    Each write task puts one file with one row group in every bucket it
+    has rows for (``add_url_bucket``), so a job writes at most
+    tasks × n_buckets files."""
     ds = add_url_bucket(extracted_ds, n_buckets)
     ds.write_parquet(out_dir, partition_cols=["part"])
 

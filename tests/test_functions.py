@@ -581,6 +581,7 @@ def test_shard_assign_deterministic_and_uniform(ray_session):
 
 
 def test_write_training_shards_partitioned_resumable(ray_session, tmp_path):
+    import os
     import ray
     import pyarrow.parquet as pq
     import pyarrow.dataset as pads
@@ -603,6 +604,24 @@ def test_write_training_shards_partitioned_resumable(ray_session, tmp_path):
     order1 = df.sort_values(["shard", "shuffle_key"])["doc_id"].tolist()
     assert order1 != sorted(order1)      # actually shuffled
     assert sorted(order1) == list(range(200))
+    # one 512-row block of 32 chunks (the shape Ray Data hands a map after
+    # a stage of small outputs): each shard file is still one row group
+    chunked = pa.concat_tables([
+        pa.table({"doc_id": pa.array(range(i, i + 16), pa.int64()),
+                  "text": pa.array([f"t{j}" for j in range(i, i + 16)],
+                                   pa.string())})
+        for i in range(0, 512, 16)])
+    assert chunked.column("doc_id").num_chunks == 32
+    out2 = str(tmp_path / "shards_chunked")
+    write_training_shards(ray.data.from_arrow(chunked), out2, n_shards=8,
+                          salt="w")
+    files = [os.path.join(root, f) for root, _, fs in os.walk(out2)
+             for f in fs if f.endswith(".parquet")]
+    assert len(files) == 8
+    assert [pq.ParquetFile(f).metadata.num_row_groups
+            for f in files] == [1] * 8
+    got2 = pads.dataset(out2, partitioning="hive").to_table()
+    assert sorted(got2.column("doc_id").to_pylist()) == list(range(512))
 
 
 # ---------------------------------------------------------------------------

@@ -397,20 +397,26 @@ def test_holdout_serializer_dd_vs_dt_end_tag():
 def test_get_parse_error_spec_ref_reference_parity():
     """Parity with getParseErrorSpecRef (reference src/public/mod.ts:
     274-279): every id — WHATWG, vendor:*, or garbage — maps to the
-    WHATWG parse-errors SECTION anchor. The expected URL is read from
-    the reference source so a reference-side change would fail here
-    rather than silently diverge."""
+    WHATWG parse-errors SECTION anchor. The expected URL is pinned here;
+    where the reference source is present, the pin is also checked
+    against it, so a reference-side change would fail here rather than
+    silently diverge."""
+    import os
     import re
     from html_parser_ray.htmlcore import (WHATWG_PARSE_ERRORS_SECTION_URL,
                                           get_parse_error_spec_ref)
-    src = open("/root/reference/src/public/mod.ts").read()
-    m = re.search(
-        r'WHATWG_PARSE_ERRORS_SECTION_URL = "([^"]+)"', src)
-    assert m, "reference constant moved"
-    assert WHATWG_PARSE_ERRORS_SECTION_URL == m.group(1)
+    url = "https://html.spec.whatwg.org/multipage/parsing.html#parse-errors"
+    assert WHATWG_PARSE_ERRORS_SECTION_URL == url
     for pid in ["unexpected-null-character", "eof-in-tag",
                 "vendor:unknown", "vendor:weird", "", "UPPER case"]:
-        assert get_parse_error_spec_ref(pid) == m.group(1)
+        assert get_parse_error_spec_ref(pid) == url
+    ref_src = "/root/reference/src/public/mod.ts"
+    if not os.path.exists(ref_src):
+        return          # no reference checkout: the pinned URL is the gate
+    m = re.search(r'WHATWG_PARSE_ERRORS_SECTION_URL = "([^"]+)"',
+                  open(ref_src).read())
+    assert m, "reference constant moved"
+    assert m.group(1) == url
 
 
 def test_get_parse_error_spec_ref_composes_with_parse_errors():

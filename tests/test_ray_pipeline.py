@@ -98,11 +98,17 @@ def test_partitioned_write_and_lineage(ray_session, tmp_path):
     parts = sorted(d for d in os.listdir(out_dir) if d.startswith("part="))
     assert len(parts) >= 2
     total = 0
+    row_groups = []
     for part in parts:
         for f in os.listdir(os.path.join(out_dir, part)):
             if f.endswith(".parquet"):
-                total += pq.read_table(os.path.join(out_dir, part, f)).num_rows
+                path = os.path.join(out_dir, part, f)
+                total += pq.read_table(path).num_rows
+                row_groups.append(pq.ParquetFile(path).metadata.num_row_groups)
     assert total == 50
+    # each write task hands the partitioned writer one contiguous table,
+    # so each file it writes is a single row group
+    assert row_groups and all(n == 1 for n in row_groups), row_groups
 
 
 def test_resumable_extract_skips_done_shards(ray_session, tmp_path):
@@ -429,6 +435,33 @@ def test_ann_brute_force_vs_numpy(ray_session):
                for r in ivf_topk(ds, q.tolist(), k=10, n_cells=8,
                                  n_probe=8).take_all()]
     assert set(got_ivf) == expected
+
+
+# The entry contract value-checks only the first 50 entries of queries();
+# reordering the registry moves queries in or out of that window, so the
+# window is pinned here.
+FIRST_50_QUERIES = [
+    "token_counts", "fingerprints", "quality_features", "quality_scores",
+    "langid", "repetition_features", "decontam", "nfc_normalize",
+    "shuffle_shards", "pack_spans", "grouped_topk", "hll_registers",
+    "url_blocklist", "customers_with_orders", "range_partition",
+    "split_assign", "nation_lookup_outer", "dedup_lines",
+    "customers_without_orders", "pii_redact", "url_canonical",
+    "host_rollup", "stratified_sample", "dedup_spans", "heavy_hitters",
+    "inverted_index", "cms_registers", "bloom_registers", "group_balance",
+    "hll_by_group", "jsonl_roundtrip", "shard_roundtrip", "profile_table",
+    "grouped_quantiles", "global_rank", "host_pagerank", "link_graph",
+    "anchor_rollup", "image_features", "extract_visible_text",
+    "extract_rollup_by_lang", "extract_full", "main_content",
+    "visible_tokens", "outline", "serialize_roundtrip", "chunks",
+    "patch_edit", "warc_extract", "lm_score",
+]
+
+
+def test_first_50_query_window_is_pinned():
+    import __ray_entry__ as entrymod
+    assert len(FIRST_50_QUERIES) == len(set(FIRST_50_QUERIES)) == 50
+    assert list(entrymod.queries())[:50] == FIRST_50_QUERIES
 
 
 def test_testdata_extract_query_runs(ray_session):
