@@ -959,19 +959,18 @@ def q_shard_roundtrip(sf_dir: str):
     partitioning — the resumable output shape), read the shard tree
     back with read_parquet, and reproduce (doc_id, text, shuffle_key,
     shard) — the shard assignment is the shuffle_shards hash rule, so
-    the whole write→read loop value-oracles."""
+    the whole write→read loop value-oracles. Every call clears the
+    directory and writes it again, so the oracle checks the writer."""
     import os
+    import shutil
     from html_parser_ray.functions.sampling import write_training_shards
 
     out_dir = os.path.join(
         "/tmp/graft_shards",
         os.path.basename(os.path.normpath(sf_dir)))
-    done = os.path.join(out_dir, "_DONE")
+    shutil.rmtree(out_dir, ignore_errors=True)
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    if not os.path.exists(done):
-        write_training_shards(ds, out_dir, n_shards=8, salt="rt")
-        with open(done, "w") as f:
-            f.write("ok")
+    write_training_shards(ds, out_dir, n_shards=8, salt="rt")
     import ray
     back = ray.data.read_parquet(out_dir)
 

@@ -9,7 +9,7 @@ exactly two passes regardless of corpus size:
    thresholds, same arithmetic as quality_batch), exact-dup hash, packed
    512-byte MinHash signature. The side table is ~0.5 KB/doc and is
    materialized for reuse (at real 100-TB scale: ``write_parquet`` it as
-   the checkpoint instead — the note in resumable.py applies).
+   the checkpoint instead, resumable per shard as ``run_extract`` is).
 2. **Drop-set derivation** (id-only shuffles): band keys recomputed from
    the stored signature + one extra ``md5:`` bucket so EXACT duplicates
    surface as pairs with estimate 1.0 through the same LSH machinery;

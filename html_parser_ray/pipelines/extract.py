@@ -1,28 +1,30 @@
 """End-to-end extraction pipelines (Ray-Data-native, streaming).
 
-read_parquet → DocStage(VISIBLE_TEXT) (fused task map) → write_parquet /
-rollups.
-Wide steps: rollups pre-aggregate inside map_batches before the small
-groupby; partitioning key is hash(url) (north rule) for resumable output.
+The flagship job, ``run_extract``, runs read → skew split →
+DocStage(VISIBLE_TEXT) → url bucketing → write_parquet once per shard of
+input files, with a manifest entry per finished shard, so re-submitting
+the same job resumes it. Rollups pre-aggregate inside map_batches before
+the small groupby.
 """
 
 from __future__ import annotations
 
+import glob
+import os
+
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 from ..stages.extract import extract_pages
+from ..state.manifest import RunManifest
 
 
-def read_pages(sf_dir_or_path: str, columns: list[str] | None = None):
-    """Column-pruned parquet read of the pages table."""
+def read_pages(sf_dir_or_path, columns: list[str] | None = None):
+    """Column-pruned parquet read of the pages table (a path or a list of
+    files)."""
     import ray
     return ray.data.read_parquet(sf_dir_or_path, columns=columns)
-
-
-def extract_pipeline(pages_ds, *, batch_size: int = 16):
-    """pages → extracted text Dataset (streaming, never materializes)."""
-    return extract_pages(pages_ds, batch_size=batch_size)
 
 
 # ---------------------------------------------------------------------------
@@ -114,14 +116,33 @@ def add_url_bucket(ds, n_buckets: int = 64):
     return ds.map_batches(bucketize, batch_format="pyarrow")
 
 
-def write_extracted(extracted_ds, out_dir: str, n_buckets: int = 64):
-    """Partitioned, resumable-friendly output: out_dir/part=K/*.parquet.
+def _shard_filenames(shard_id: str):
+    """Names files ``shard-<id>_<write_uuid>_<task>_<block>.parquet``, so
+    a redone shard can remove its own files and no other shard's. Ray
+    requires the write uuid in the name when it appends to a directory."""
+    from ray.data.datasource import FilenameProvider
+
+    class ShardFilenames(FilenameProvider):
+        def get_filename_for_block(self, block, write_uuid, task_index,
+                                   block_index):
+            return (f"shard-{shard_id}_{write_uuid}_{task_index:06}_"
+                    f"{block_index:06}.parquet")
+
+    return ShardFilenames()
+
+
+def write_extracted(extracted_ds, out_dir: str, n_buckets: int = 64,
+                    shard_id: str | None = None):
+    """Partitioned output: out_dir/part=K/*.parquet, file names tagged
+    ``shard-<shard_id>_`` when a shard id is given.
 
     Each write task puts one file with one row group in every bucket it
     has rows for (``add_url_bucket``), so a job writes at most
     tasks × n_buckets files."""
     ds = add_url_bucket(extracted_ds, n_buckets)
-    ds.write_parquet(out_dir, partition_cols=["part"])
+    ds.write_parquet(out_dir, partition_cols=["part"],
+                     filename_provider=(None if shard_id is None
+                                        else _shard_filenames(shard_id)))
 
 
 # ---------------------------------------------------------------------------
@@ -175,22 +196,63 @@ def write_quarantine(extracted_ds, out_dir: str):
         return batch.filter(pc.not_equal(batch.column("status"), "ok"))
 
     bad = extracted_ds.map_batches(bad_only, batch_format="pyarrow")
-    import os
     bad.write_parquet(os.path.join(out_dir, "_quarantine"))
 
 
+def _list_parquet_files(input_path: str) -> list[str]:
+    if os.path.isfile(input_path):
+        return [input_path]
+    return sorted(os.path.join(root, name)
+                  for root, _dirs, files in os.walk(input_path)
+                  for name in files if name.endswith(".parquet"))
+
+
 def run_extract(input_path: str, out_dir: str, *, concurrency=None,
-                batch_size: int = 16, n_buckets: int = 64) -> None:
-    """Flagship job: read → extract (skew-routed) → partitioned write.
-    Streaming end-to-end; after the read, the split, the extract, the url
-    bucketing and the write run as one fused task operator.
+                batch_size: int = 16, n_buckets: int = 64,
+                files_per_shard: int = 16) -> dict:
+    """Flagship job: read → extract (skew-routed) → partitioned write,
+    streamed as one fused task operator after the read, once per shard of
+    ``files_per_shard`` sorted input files. Both paths are local or
+    mounted: the files are listed and the manifest kept with ``os``.
+
+    Re-submitting the same job resumes it: shards with a done manifest
+    entry are skipped, and any other shard first removes the files an
+    interrupted attempt left (``part=*/shard-<id>_*``). A done shard whose
+    recorded files differ from the ones it holds now raises ValueError.
+    Doc counts come from the input footers, as DocStage writes one row
+    per page, failed pages included. Returns the manifest's counters
+    summed over all shards.
 
     ``concurrency`` is accepted and ignored: existing callers
     (``perfbench`` among them) still pass a pool size, and honouring it as
     a task cap would block that fusion."""
-    pages = read_pages(input_path, columns=["url", "warc_ts", "html", "lang"])
-    write_extracted(extract_with_skew_routing(pages, batch_size=batch_size),
-                    out_dir, n_buckets)
+    files = _list_parquet_files(input_path)
+    if not files:
+        raise FileNotFoundError(f"no parquet files under {input_path}")
+    root = (input_path if os.path.isdir(input_path)
+            else os.path.dirname(input_path) or os.curdir)
+    manifest = RunManifest(out_dir)
+    for start in range(0, len(files), files_per_shard):
+        shard_id = f"{start // files_per_shard:05d}"
+        shard_files = files[start:start + files_per_shard]
+        names = [os.path.relpath(f, root) for f in shard_files]
+        done = manifest.done_files(shard_id)
+        if done is not None:
+            if done != names:
+                raise ValueError(f"shard {shard_id} was done with files "
+                                 f"{done} but now holds {names}")
+            continue
+        for stale in glob.glob(os.path.join(glob.escape(out_dir), "part=*",
+                                            f"shard-{shard_id}_*")):
+            os.remove(stale)
+        pages = read_pages(shard_files,
+                           columns=["url", "warc_ts", "html", "lang"])
+        write_extracted(extract_with_skew_routing(pages,
+                                                  batch_size=batch_size),
+                        out_dir, n_buckets, shard_id=shard_id)
+        docs = sum(pq.read_metadata(f).num_rows for f in shard_files)
+        manifest.mark_done(shard_id, {"docs": docs}, names)
+    return manifest.counters()
 
 
 # --------------------------------------------------------------------------
@@ -201,9 +263,11 @@ def run_extract(input_path: str, out_dir: str, *, concurrency=None,
 #       python -m html_parser_ray.pipelines.extract \
 #       /data/pages/ /out/extracted/ --buckets 256
 #
-# This is one of the three places allowed to own a Ray session (with
-# bench.py and the test fixture); the init is guarded so it also works
-# when submitted into an already-initialised driver.
+# Re-submitting the same command after a preemption resumes the job: it
+# skips the shards the output's manifest marks done. This is one of the
+# three places allowed to own a Ray session (with bench.py and the test
+# fixture); the init is guarded so it also works when submitted into an
+# already-initialised driver.
 
 def _main(argv: list[str]) -> int:
     import argparse
@@ -211,7 +275,8 @@ def _main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m html_parser_ray.pipelines.extract",
         description="Streaming HTML extraction: pages parquet -> "
-                    "url-hash-partitioned extracted parquet")
+                    "url-hash-partitioned extracted parquet; re-running "
+                    "into the same out_dir resumes the job")
     parser.add_argument("input_path", help="pages parquet dir/file")
     parser.add_argument("out_dir", help="output directory")
     parser.add_argument("--buckets", type=int, default=64,

@@ -1,10 +1,10 @@
 """Per-partition lineage manifest for checkpoint/resume.
 
 At 100 TB a job WILL be preempted; output must be resumable without
-recomputing finished work. The unit of resume is an input shard (a set of
-parquet files hashed to a shard id). Each completed shard writes
-``<out>/_manifest/shard-<id>.json`` with row counts and stage counters; a
-restarted run skips shards whose manifest entry exists and is complete.
+recomputing finished work. The unit of resume is an input shard (a run of
+parquet files in the sorted input list, numbered by position). Each
+completed shard writes ``<out>/_manifest/shard-<id>.json`` with its input
+files and counters; a restarted run skips shards whose entry says done.
 """
 
 from __future__ import annotations
@@ -22,26 +22,26 @@ class RunManifest:
     def _path(self, shard_id: str) -> str:
         return os.path.join(self.dir, f"shard-{shard_id}.json")
 
-    def is_done(self, shard_id: str) -> bool:
-        path = self._path(shard_id)
-        if not os.path.exists(path):
-            return False
+    def done_files(self, shard_id: str) -> list[str] | None:
+        """The input files a done shard recorded, or None if it is not
+        done."""
         try:
-            with open(path) as f:
-                return json.load(f).get("status") == "done"
+            with open(self._path(shard_id)) as f:
+                record = json.load(f)
         except (json.JSONDecodeError, OSError):
-            return False
+            return None
+        if record.get("status") != "done":
+            return None
+        return record.get("files", [])
 
-    def mark_done(self, shard_id: str, counters: dict) -> None:
+    def mark_done(self, shard_id: str, counters: dict,
+                  files: list[str]) -> None:
         record = {"status": "done", "shard": shard_id,
-                  "finished_at": time.time(), **counters}
+                  "finished_at": time.time(), "files": files, **counters}
         tmp = self._path(shard_id) + ".tmp"
         with open(tmp, "w") as f:
             json.dump(record, f)
         os.replace(tmp, self._path(shard_id))
-
-    def pending(self, shard_ids: list[str]) -> list[str]:
-        return [s for s in shard_ids if not self.is_done(s)]
 
     def counters(self) -> dict:
         total: dict[str, float] = {}

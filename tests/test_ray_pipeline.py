@@ -2,6 +2,7 @@
 partitioned + resumable writes, dedup/ann Dataset operators, and byte-parity
 of the distributed path with the single-doc kernel."""
 
+import json
 import os
 
 import pyarrow as pa
@@ -111,21 +112,43 @@ def test_partitioned_write_and_lineage(ray_session, tmp_path):
     assert row_groups and all(n == 1 for n in row_groups), row_groups
 
 
+def _collect_parts(out_dir, columns):
+    """Sorted rows of every ``part=K`` file under a run_extract output."""
+    rows = []
+    for part in sorted(os.listdir(out_dir)):
+        if not part.startswith("part="):
+            continue
+        for f in sorted(os.listdir(os.path.join(out_dir, part))):
+            if f.endswith(".parquet"):
+                t = pq.read_table(os.path.join(out_dir, part, f),
+                                  columns=columns)
+                rows += list(zip(*(t.column(c).to_pylist()
+                                   for c in columns)))
+    return sorted(rows)
+
+
+def _shard_files(out_dir, shard_id):
+    """{path: mtime_ns} of the files one shard wrote."""
+    import glob
+    return {p: os.stat(p).st_mtime_ns for p in glob.glob(
+        os.path.join(out_dir, "part=*", f"shard-{shard_id}_*"))}
+
+
 def test_resumable_extract_skips_done_shards(ray_session, tmp_path):
     from html_parser_ray.sources.synth import write_pages_parquet
-    from html_parser_ray.pipelines.resumable import run_resumable_extract
+    from html_parser_ray.pipelines.extract import run_extract
     in_dir = str(tmp_path / "in")
     os.makedirs(in_dir)
     write_pages_parquet(os.path.join(in_dir, "a.parquet"), 30, seed=1)
     write_pages_parquet(os.path.join(in_dir, "b.parquet"), 30, seed=2,
                         start=30)
     out_dir = str(tmp_path / "out")
-    counters = run_resumable_extract(in_dir, out_dir, files_per_shard=1,
-                                     batch_size=32)
+    counters = run_extract(in_dir, out_dir, files_per_shard=1,
+                           batch_size=32)
     assert counters["docs"] == 60
     # second run must skip everything (manifest present) and keep counters
-    counters2 = run_resumable_extract(in_dir, out_dir, files_per_shard=1,
-                                      batch_size=32)
+    counters2 = run_extract(in_dir, out_dir, files_per_shard=1,
+                            batch_size=32)
     assert counters2["docs"] == 60
     manifest_files = os.listdir(os.path.join(out_dir, "_manifest"))
     assert len([f for f in manifest_files if f.endswith(".json")]) == 2
@@ -135,27 +158,72 @@ def test_resumable_extract_replaces_partial_shard_output(ray_session,
                                                          tmp_path):
     """A shard preempted after a partial write but before mark_done must be
     rewritten from scratch on resume — stale files would duplicate rows
-    (ADVICE r01)."""
+    (ADVICE r01) — and redoing it must leave other shards' files alone."""
     from html_parser_ray.sources.synth import write_pages_parquet
-    from html_parser_ray.pipelines.resumable import run_resumable_extract
-    import pyarrow.parquet as pq
+    from html_parser_ray.pipelines.extract import run_extract
     in_dir = str(tmp_path / "in")
     os.makedirs(in_dir)
     write_pages_parquet(os.path.join(in_dir, "a.parquet"), 30, seed=1)
     out_dir = str(tmp_path / "out")
-    # simulate the preempted run: shard dir exists with a partial file, no
-    # manifest entry
-    shard_dir = os.path.join(out_dir, "shard=00000")
-    os.makedirs(shard_dir)
-    pq.write_table(pa.table({"url": ["stale://1"], "status": ["ok"],
-                             "n_errors": [0], "quirks_mode": ["no-quirks"]}),
-                   os.path.join(shard_dir, "partial_leftover.parquet"))
-    counters = run_resumable_extract(in_dir, out_dir, files_per_shard=1,
-                                     batch_size=32)
+
+    def plant_stale(shard_id, url):
+        # a preempted run: a partial file in the shard's name, no
+        # manifest entry
+        part_dir = os.path.join(out_dir, "part=3")
+        os.makedirs(part_dir, exist_ok=True)
+        pq.write_table(pa.table({"url": [url], "status": ["ok"],
+                                 "n_errors": [0],
+                                 "quirks_mode": ["no-quirks"]}),
+                       os.path.join(part_dir,
+                                    f"shard-{shard_id}_stale.parquet"))
+
+    plant_stale("00000", "stale://1")
+    counters = run_extract(in_dir, out_dir, files_per_shard=1,
+                           batch_size=32)
     assert counters["docs"] == 30  # not 31 — the stale row is gone
-    total = sum(pq.read_table(os.path.join(shard_dir, f)).num_rows
-                for f in os.listdir(shard_dir) if f.endswith(".parquet"))
-    assert total == 30
+    rows = _collect_parts(out_dir, ["url"])
+    assert len(rows) == 30
+    assert ("stale://1",) not in rows
+
+    # shard 00001 (a new file) is redone over its own stale file while
+    # done shard 00000 keeps its files untouched
+    done_files = _shard_files(out_dir, "00000")
+    assert done_files
+    write_pages_parquet(os.path.join(in_dir, "b.parquet"), 30, seed=2,
+                        start=30)
+    plant_stale("00001", "stale://2")
+    counters = run_extract(in_dir, out_dir, files_per_shard=1,
+                           batch_size=32)
+    assert counters["docs"] == 60
+    assert _shard_files(out_dir, "00000") == done_files
+    rows = _collect_parts(out_dir, ["url"])
+    assert len(rows) == len(set(rows)) == 60
+    assert ("stale://2",) not in rows
+
+
+def test_resumable_extract_rejects_changed_shard_files(ray_session,
+                                                       tmp_path):
+    """Shard ids are positions in the sorted file list: a file added
+    ahead of a done shard changes what that shard holds, and skipping it
+    would silently drop the new file's rows."""
+    from html_parser_ray.sources.synth import write_pages_parquet
+    from html_parser_ray.pipelines.extract import run_extract
+    in_dir = str(tmp_path / "in")
+    os.makedirs(in_dir)
+    write_pages_parquet(os.path.join(in_dir, "a.parquet"), 10, seed=1)
+    write_pages_parquet(os.path.join(in_dir, "b.parquet"), 10, seed=2,
+                        start=10)
+    out_dir = str(tmp_path / "out")
+    assert run_extract(in_dir, out_dir, files_per_shard=1)["docs"] == 20
+    manifest = os.path.join(out_dir, "_manifest", "shard-00000.json")
+    with open(manifest) as f:
+        # paths relative to the input dir (each synth "file" is a
+        # directory of part files)
+        assert json.load(f)["files"] == ["a.parquet/part-00000.parquet"]
+    write_pages_parquet(os.path.join(in_dir, "0.parquet"), 10, seed=3,
+                        start=20)
+    with pytest.raises(ValueError, match="shard 00000"):
+        run_extract(in_dir, out_dir, files_per_shard=1)
 
 
 def test_resumable_extract_exactly_once_after_worker_sigkill(
@@ -168,7 +236,7 @@ def test_resumable_extract_exactly_once_after_worker_sigkill(
     rows to a clean run, no dropped or duplicated docs."""
     import signal
 
-    from html_parser_ray.pipelines import resumable
+    from html_parser_ray.pipelines import extract
     from html_parser_ray.sources.synth import write_pages_parquet
 
     in_dir = str(tmp_path / "in")
@@ -178,22 +246,11 @@ def test_resumable_extract_exactly_once_after_worker_sigkill(
                         start=30)
 
     def collect(out_dir):
-        rows = []
-        for shard in sorted(os.listdir(out_dir)):
-            if not shard.startswith("shard="):
-                continue
-            for f in sorted(os.listdir(os.path.join(out_dir, shard))):
-                if f.endswith(".parquet"):
-                    t = pq.read_table(os.path.join(out_dir, shard, f),
-                                      columns=["url", "status", "text"])
-                    rows += list(zip(t.column("url").to_pylist(),
-                                     t.column("status").to_pylist(),
-                                     t.column("text").to_pylist()))
-        return sorted(rows)
+        return _collect_parts(out_dir, ["url", "status", "text"])
 
     clean_out = str(tmp_path / "clean")
-    resumable.run_resumable_extract(in_dir, clean_out, files_per_shard=1,
-                                    batch_size=32)
+    extract.run_extract(in_dir, clean_out, files_per_shard=1,
+                        batch_size=32)
     expected = collect(clean_out)
     assert len(expected) == 60
 
@@ -201,7 +258,7 @@ def test_resumable_extract_exactly_once_after_worker_sigkill(
     # first time any task runs with no marker file present (marker is
     # written BEFORE the kill so the retried task passes through)
     marker = str(tmp_path / "crashed.marker")
-    real_pipeline = resumable.extract_pipeline
+    real_pipeline = extract.extract_with_skew_routing
 
     def crashing_pipeline(pages, **kw):
         def maybe_crash(batch):
@@ -214,9 +271,10 @@ def test_resumable_extract_exactly_once_after_worker_sigkill(
         return real_pipeline(pages, **kw).map_batches(
             maybe_crash, batch_format="pyarrow")
 
-    monkeypatch.setattr(resumable, "extract_pipeline", crashing_pipeline)
+    monkeypatch.setattr(extract, "extract_with_skew_routing",
+                        crashing_pipeline)
     crash_out = str(tmp_path / "crash")
-    counters = resumable.run_resumable_extract(
+    counters = extract.run_extract(
         in_dir, crash_out, files_per_shard=1,
         batch_size=32)
     assert os.path.exists(marker), "injection never fired"
@@ -237,7 +295,7 @@ def test_resumable_extract_resumes_after_driver_sigkill(
     import sys as _sys
     import time
 
-    from html_parser_ray.pipelines.resumable import run_resumable_extract
+    from html_parser_ray.pipelines.extract import run_extract
     from html_parser_ray.sources.synth import write_pages_parquet
 
     in_dir = str(tmp_path / "in")
@@ -249,21 +307,11 @@ def test_resumable_extract_resumes_after_driver_sigkill(
                             seed=i + 1, start=i * 10)
 
     def collect(out_dir):
-        rows = []
-        for shard in sorted(os.listdir(out_dir)):
-            if not shard.startswith("shard="):
-                continue
-            for f in sorted(os.listdir(os.path.join(out_dir, shard))):
-                if f.endswith(".parquet"):
-                    t = pq.read_table(os.path.join(out_dir, shard, f),
-                                      columns=["url", "status"])
-                    rows += list(zip(t.column("url").to_pylist(),
-                                     t.column("status").to_pylist()))
-        return sorted(rows)
+        return _collect_parts(out_dir, ["url", "status"])
 
     clean_out = str(tmp_path / "clean")
-    run_resumable_extract(in_dir, clean_out, files_per_shard=1,
-                          batch_size=16)
+    run_extract(in_dir, clean_out, files_per_shard=1,
+                batch_size=16)
     expected = collect(clean_out)
     assert len(expected) == 80  # 8 shards x 10 docs
 
@@ -272,9 +320,9 @@ def test_resumable_extract_resumes_after_driver_sigkill(
         "import ray, sys\n"
         "ray.init(address='local', num_cpus=4, include_dashboard=False)\n"
         f"sys.path.insert(0, {os.path.dirname(os.path.dirname(os.path.abspath(__file__)))!r})\n"
-        "from html_parser_ray.pipelines.resumable import run_resumable_extract\n"
-        f"run_resumable_extract({in_dir!r}, {crash_out!r}, files_per_shard=1,\n"
-        "                      batch_size=16)\n")
+        "from html_parser_ray.pipelines.extract import run_extract\n"
+        f"run_extract({in_dir!r}, {crash_out!r}, files_per_shard=1,\n"
+        "            batch_size=16)\n")
     # own session → killpg reaps the child's raylet/gcs too (a SIGKILLed
     # driver must not leak a second Ray cluster into later tests)
     child = subprocess.Popen([_sys.executable, "-c", child_src],
@@ -310,8 +358,8 @@ def test_resumable_extract_resumes_after_driver_sigkill(
     # would be racy — exactly-once below is the real property, and the
     # 8-shard layout makes a mid-run kill overwhelmingly likely
     assert n_done_at_kill >= 1
-    counters = run_resumable_extract(in_dir, crash_out, files_per_shard=1,
-                                     batch_size=16)
+    counters = run_extract(in_dir, crash_out, files_per_shard=1,
+                           batch_size=16)
     assert counters["docs"] == 80
     assert collect(crash_out) == expected
 

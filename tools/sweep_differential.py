@@ -17,7 +17,9 @@ Grammar constraints per the documented offset contract (see
 htmlcore/api.py parse docstring): no raw \\r, no astral chars.
 
 Usage: python tools/sweep_differential.py [n_tree=6000] [n_error=3000] [seed]
-Exits nonzero on any divergence, printing the minimizable case.
+Exits nonzero on any divergence, printing the minimizable case. Exits 0
+after printing ``skip: ...`` when node or the reference parser the oracles
+load is absent.
 """
 
 from __future__ import annotations
@@ -25,11 +27,14 @@ from __future__ import annotations
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, REPO)
+
+from tools.regen_golden_sample import REFERENCE_PARSER  # noqa: E402
 
 ORACLES = os.path.join(REPO, "tools", "ref_oracle")
 
@@ -232,6 +237,10 @@ def sweep_transitions(n: int, seed: int) -> int:
 
 
 def main() -> int:
+    if shutil.which("node") is None or not os.path.exists(REFERENCE_PARSER):
+        print("skip: node or the reference checkout is absent — "
+              "differential sweep unavailable in this environment")
+        return 0
     n_tree = int(sys.argv[1]) if len(sys.argv) > 1 else 6000
     n_error = int(sys.argv[2]) if len(sys.argv) > 2 else 3000
     seed = int(sys.argv[3]) if len(sys.argv) > 3 else 20260819
