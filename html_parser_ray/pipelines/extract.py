@@ -2,29 +2,34 @@
 
 The flagship job, ``run_extract``, runs read → skew split →
 DocStage(VISIBLE_TEXT) → url bucketing → write_parquet once per shard of
-input files, with a manifest entry per finished shard, so re-submitting
-the same job resumes it. Rollups pre-aggregate inside map_batches before
-the small groupby.
+input files, a few shards at a time, with a manifest entry per finished
+shard, so re-submitting the same job resumes it. Rollups pre-aggregate
+inside map_batches before the small groupby.
 """
 
 from __future__ import annotations
 
-import glob
+import math
 import os
+import posixpath
+from concurrent.futures import ThreadPoolExecutor, as_completed
 
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+from pyarrow import fs as pafs
 
 from ..stages.extract import extract_pages
-from ..state.manifest import RunManifest
+from ..state.manifest import RunManifest, resolve_filesystem
 
 
-def read_pages(sf_dir_or_path, columns: list[str] | None = None):
+def read_pages(sf_dir_or_path, columns: list[str] | None = None,
+               filesystem=None):
     """Column-pruned parquet read of the pages table (a path or a list of
-    files)."""
+    files, on ``filesystem`` when given)."""
     import ray
-    return ray.data.read_parquet(sf_dir_or_path, columns=columns)
+    return ray.data.read_parquet(sf_dir_or_path, columns=columns,
+                                 filesystem=filesystem)
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +204,43 @@ def write_quarantine(extracted_ds, out_dir: str):
     bad.write_parquet(os.path.join(out_dir, "_quarantine"))
 
 
-def _list_parquet_files(input_path: str) -> list[str]:
-    if os.path.isfile(input_path):
-        return [input_path]
-    return sorted(os.path.join(root, name)
-                  for root, _dirs, files in os.walk(input_path)
-                  for name in files if name.endswith(".parquet"))
+def _list_parquet_files(filesystem, path: str) -> list[str]:
+    """The sorted parquet files under the directory ``path``."""
+    return sorted(info.path for info in filesystem.get_file_info(
+        pafs.FileSelector(path, recursive=True, allow_not_found=True))
+        if info.type == pafs.FileType.File and info.path.endswith(".parquet"))
+
+
+def _remove_shard_output(filesystem, out_dir: str, shard_ids) -> None:
+    """Delete ``part=*/shard-<id>_*`` for the given shards: what an
+    interrupted attempt at them left. Other shards' files stay."""
+    for info in filesystem.get_file_info(
+            pafs.FileSelector(out_dir, recursive=True, allow_not_found=True)):
+        rel = posixpath.relpath(info.path, out_dir).split("/")
+        if (len(rel) == 2 and rel[0].startswith("part=")
+                and rel[1].startswith("shard-")
+                and rel[1][len("shard-"):].split("_", 1)[0] in shard_ids):
+            filesystem.delete_file(info.path)
+
+
+def _record_failed_http_import() -> None:
+    """Ray Data imports fsspec's HTTP filesystem to resolve every path.
+    Where that fails (fsspec without aiohttp), threads re-running the
+    import can see each other's half-run module; recorded once, the
+    import fails at once, so shards can be planned from several threads."""
+    import sys
+    try:
+        import fsspec.implementations.http  # noqa: F401
+    except ImportError:
+        sys.modules.setdefault("fsspec.implementations.http", None)
+
+
+def _shards_in_flight(files_per_shard: int) -> int:
+    """Shards run at once: enough files for every cluster CPU plus one
+    shard, so one shard's straggler tail overlaps the next one's work."""
+    import ray
+    cpus = ray.cluster_resources().get("CPU", 1) if ray.is_initialized() else 1
+    return 1 + math.ceil(cpus / files_per_shard)
 
 
 def run_extract(input_path: str, out_dir: str, *, concurrency=None,
@@ -212,13 +248,15 @@ def run_extract(input_path: str, out_dir: str, *, concurrency=None,
                 files_per_shard: int = 16) -> dict:
     """Flagship job: read → extract (skew-routed) → partitioned write,
     streamed as one fused task operator after the read, once per shard of
-    ``files_per_shard`` sorted input files. Both paths are local or
-    mounted: the files are listed and the manifest kept with ``os``.
+    ``files_per_shard`` sorted input files. Both paths may be local or
+    pyarrow URIs (``file://``, ``s3://``, ``gs://``).
 
     Re-submitting the same job resumes it: shards with a done manifest
-    entry are skipped, and any other shard first removes the files an
+    entry are skipped, and every other shard first loses the files an
     interrupted attempt left (``part=*/shard-<id>_*``). A done shard whose
-    recorded files differ from the ones it holds now raises ValueError.
+    recorded files differ from the ones it holds now, or that the input no
+    longer has, raises ValueError. Pending shards run a few at a time
+    (``_shards_in_flight``), and each is marked done when its write ends.
     Doc counts come from the input footers, as DocStage writes one row
     per page, failed pages included. Returns the manifest's counters
     summed over all shards.
@@ -226,32 +264,52 @@ def run_extract(input_path: str, out_dir: str, *, concurrency=None,
     ``concurrency`` is accepted and ignored: existing callers
     (``perfbench`` among them) still pass a pool size, and honouring it as
     a task cap would block that fusion."""
-    files = _list_parquet_files(input_path)
+    in_fs, in_root = resolve_filesystem(input_path)
+    if in_fs.get_file_info(in_root).type == pafs.FileType.File:
+        files, in_root = [in_root], posixpath.dirname(in_root)
+    else:
+        files = _list_parquet_files(in_fs, in_root)
     if not files:
         raise FileNotFoundError(f"no parquet files under {input_path}")
-    root = (input_path if os.path.isdir(input_path)
-            else os.path.dirname(input_path) or os.curdir)
-    manifest = RunManifest(out_dir)
-    for start in range(0, len(files), files_per_shard):
-        shard_id = f"{start // files_per_shard:05d}"
-        shard_files = files[start:start + files_per_shard]
-        names = [os.path.relpath(f, root) for f in shard_files]
-        done = manifest.done_files(shard_id)
-        if done is not None:
-            if done != names:
-                raise ValueError(f"shard {shard_id} was done with files "
-                                 f"{done} but now holds {names}")
-            continue
-        for stale in glob.glob(os.path.join(glob.escape(out_dir), "part=*",
-                                            f"shard-{shard_id}_*")):
-            os.remove(stale)
-        pages = read_pages(shard_files,
-                           columns=["url", "warc_ts", "html", "lang"])
+    shards = {f"{start // files_per_shard:05d}":
+              files[start:start + files_per_shard]
+              for start in range(0, len(files), files_per_shard)}
+    names = {shard_id: [posixpath.relpath(f, in_root) for f in shard_files]
+             for shard_id, shard_files in shards.items()}
+    out_fs, out_root = resolve_filesystem(out_dir)
+    manifest = RunManifest(out_fs, out_root)
+    done = manifest.records()
+    for shard_id, record in sorted(done.items()):
+        if record.get("files", []) != names.get(shard_id, []):
+            raise ValueError(f"shard {shard_id} was done with files "
+                             f"{record.get('files', [])} but now holds "
+                             f"{names.get(shard_id, [])}")
+    pending = [shard_id for shard_id in shards if shard_id not in done]
+    _remove_shard_output(out_fs, out_root, set(pending))
+    _record_failed_http_import()
+
+    def extract_shard(shard_id: str) -> int:
+        pages = read_pages(shards[shard_id],
+                           columns=["url", "warc_ts", "html", "lang"],
+                           filesystem=in_fs)
         write_extracted(extract_with_skew_routing(pages,
                                                   batch_size=batch_size),
                         out_dir, n_buckets, shard_id=shard_id)
-        docs = sum(pq.read_metadata(f).num_rows for f in shard_files)
-        manifest.mark_done(shard_id, {"docs": docs}, names)
+        return sum(pq.read_metadata(f, filesystem=in_fs).num_rows
+                   for f in shards[shard_id])
+
+    pool = ThreadPoolExecutor(_shards_in_flight(files_per_shard))
+    try:
+        running = {pool.submit(extract_shard, shard_id): shard_id
+                   for shard_id in pending}
+        for future in as_completed(running):
+            shard_id = running[future]
+            manifest.mark_done(shard_id, {"docs": future.result()},
+                               names[shard_id])
+    finally:
+        # a failed shard stops the shards not yet started; the running
+        # ones finish but stay unmarked, to be redone on resume
+        pool.shutdown(cancel_futures=True)
     return manifest.counters()
 
 

@@ -5,54 +5,65 @@ recomputing finished work. The unit of resume is an input shard (a run of
 parquet files in the sorted input list, numbered by position). Each
 completed shard writes ``<out>/_manifest/shard-<id>.json`` with its input
 files and counters; a restarted run skips shards whose entry says done.
+The manifest lives on any pyarrow filesystem (local, ``s3://``, ``gs://``).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import posixpath
 import time
+
+from pyarrow import fs as pafs
+
+
+def resolve_filesystem(path: str) -> tuple[pafs.FileSystem, str]:
+    """(pyarrow filesystem, path inside it) for a local path or a URI
+    such as ``file://``, ``s3://`` or ``gs://``."""
+    if "://" in path:
+        return pafs.FileSystem.from_uri(path)
+    return pafs.LocalFileSystem(), os.path.abspath(path)
 
 
 class RunManifest:
-    def __init__(self, out_dir: str):
-        self.dir = os.path.join(out_dir, "_manifest")
-        os.makedirs(self.dir, exist_ok=True)
+    def __init__(self, filesystem: pafs.FileSystem, out_dir: str):
+        self.fs = filesystem
+        self.dir = posixpath.join(out_dir, "_manifest")
+        self.fs.create_dir(self.dir, recursive=True)
 
     def _path(self, shard_id: str) -> str:
-        return os.path.join(self.dir, f"shard-{shard_id}.json")
+        return posixpath.join(self.dir, f"shard-{shard_id}.json")
 
-    def done_files(self, shard_id: str) -> list[str] | None:
-        """The input files a done shard recorded, or None if it is not
-        done."""
-        try:
-            with open(self._path(shard_id)) as f:
-                record = json.load(f)
-        except (json.JSONDecodeError, OSError):
-            return None
-        if record.get("status") != "done":
-            return None
-        return record.get("files", [])
+    def records(self) -> dict[str, dict]:
+        """shard id → the record of every done shard. An unreadable entry
+        is not done."""
+        records = {}
+        for info in self.fs.get_file_info(pafs.FileSelector(self.dir)):
+            name = info.base_name
+            if not (name.startswith("shard-") and name.endswith(".json")):
+                continue
+            try:
+                with self.fs.open_input_stream(info.path) as f:
+                    record = json.loads(f.read())
+            except (json.JSONDecodeError, OSError):
+                continue
+            if record.get("status") == "done":
+                records[name[len("shard-"):-len(".json")]] = record
+        return records
 
     def mark_done(self, shard_id: str, counters: dict,
                   files: list[str]) -> None:
         record = {"status": "done", "shard": shard_id,
                   "finished_at": time.time(), "files": files, **counters}
         tmp = self._path(shard_id) + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(record, f)
-        os.replace(tmp, self._path(shard_id))
+        with self.fs.open_output_stream(tmp) as f:
+            f.write(json.dumps(record).encode())
+        self.fs.move(tmp, self._path(shard_id))
 
     def counters(self) -> dict:
         total: dict[str, float] = {}
-        for name in os.listdir(self.dir):
-            if not name.endswith(".json"):
-                continue
-            try:
-                with open(os.path.join(self.dir, name)) as f:
-                    rec = json.load(f)
-            except (json.JSONDecodeError, OSError):
-                continue
+        for rec in self.records().values():
             for key, value in rec.items():
                 if isinstance(value, (int, float)) and key != "finished_at":
                     total[key] = total.get(key, 0) + value

@@ -4,6 +4,7 @@ of the distributed path with the single-doc kernel."""
 
 import json
 import os
+import shutil
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -180,9 +181,9 @@ def test_resumable_extract_replaces_partial_shard_output(ray_session,
     plant_stale("00000", "stale://1")
     counters = run_extract(in_dir, out_dir, files_per_shard=1,
                            batch_size=32)
-    assert counters["docs"] == 30  # not 31 — the stale row is gone
+    assert counters["docs"] == 30  # counted from the input footers
     rows = _collect_parts(out_dir, ["url"])
-    assert len(rows) == 30
+    assert len(rows) == 30  # not 31 — the stale row is gone
     assert ("stale://1",) not in rows
 
     # shard 00001 (a new file) is redone over its own stale file while
@@ -224,6 +225,71 @@ def test_resumable_extract_rejects_changed_shard_files(ray_session,
                         start=20)
     with pytest.raises(ValueError, match="shard 00000"):
         run_extract(in_dir, out_dir, files_per_shard=1)
+
+    # a shrunk input: done shard 00001's rows would outlive its file
+    shutil.rmtree(os.path.join(in_dir, "0.parquet"))
+    shutil.rmtree(os.path.join(in_dir, "b.parquet"))
+    with pytest.raises(ValueError, match="shard 00001"):
+        run_extract(in_dir, out_dir, files_per_shard=1)
+
+
+def test_run_extract_failed_shard_leaves_it_pending(ray_session, tmp_path,
+                                                   monkeypatch):
+    """Shards run a few at a time: one that fails raises out of
+    run_extract without a manifest entry, and the resubmitted job does
+    only that shard."""
+    from html_parser_ray.pipelines import extract
+    from html_parser_ray.sources.synth import write_pages_parquet
+    in_dir = str(tmp_path / "in")
+    os.makedirs(in_dir)
+    for i, name in enumerate(["a", "b", "c"]):
+        write_pages_parquet(os.path.join(in_dir, f"{name}.parquet"), 10,
+                            seed=i + 1, start=i * 10)
+    real_read_pages = extract.read_pages
+
+    def failing_read_pages(files, **kw):
+        if any("b.parquet" in f for f in files):
+            raise OSError("unreadable shard")
+        return real_read_pages(files, **kw)
+
+    monkeypatch.setattr(extract, "read_pages", failing_read_pages)
+    out_dir = str(tmp_path / "out")
+    with pytest.raises(OSError, match="unreadable shard"):
+        extract.run_extract(in_dir, out_dir, files_per_shard=1)
+    assert "shard-00001.json" not in os.listdir(
+        os.path.join(out_dir, "_manifest"))
+    monkeypatch.setattr(extract, "read_pages", real_read_pages)
+    assert extract.run_extract(in_dir, out_dir,
+                               files_per_shard=1)["docs"] == 30
+    rows = _collect_parts(out_dir, ["url"])
+    assert len(rows) == len(set(rows)) == 30
+
+
+def test_run_extract_reads_and_writes_uris(ray_session, tmp_path):
+    """Input and output given as ``file://`` URIs: the listing, the
+    footers, the stale-file removal and the manifest all go through the
+    URI's filesystem, as the reads and writes do."""
+    from html_parser_ray.sources.synth import write_pages_parquet
+    from html_parser_ray.pipelines.extract import run_extract
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    write_pages_parquet(str(in_dir / "a.parquet"), 10, seed=1)
+    write_pages_parquet(str(in_dir / "b.parquet"), 10, seed=2, start=10)
+    out_dir = tmp_path / "out"
+    stale = out_dir / "part=3" / "shard-00001_stale.parquet"
+    stale.parent.mkdir(parents=True)
+    pq.write_table(pa.table({"url": ["stale://1"]}), str(stale))
+    counters = run_extract(in_dir.as_uri(), out_dir.as_uri(),
+                           files_per_shard=1)
+    assert counters["docs"] == 20
+    assert not stale.exists()
+    assert sorted(os.listdir(out_dir / "_manifest")) == [
+        "shard-00000.json", "shard-00001.json"]
+    rows = _collect_parts(str(out_dir), ["url"])
+    assert len(rows) == len(set(rows)) == 20
+    # resubmitted: both shards are skipped
+    assert run_extract(in_dir.as_uri(), out_dir.as_uri(),
+                       files_per_shard=1) == counters
 
 
 def test_resumable_extract_exactly_once_after_worker_sigkill(
