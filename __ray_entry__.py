@@ -1330,7 +1330,7 @@ def q_pdf_extract(sf_dir: str):
     """PDF/layout parse (north-star step): wrap each document's text in a
     deterministic digital-born PDF (pdfcore.make_minimal_pdf — valid
     xref, Flate-compressed content stream) and run the from-scratch
-    extraction kernel over it as an actor-pool stage. Single-line pages
+    extraction kernel over it as a DocStage task map. Single-line pages
     make the oracle the identity on text; the multi-line / multi-page /
     escape / uncompressed paths are pytest-tested."""
     from html_parser_ray.pdfcore import make_minimal_pdf
@@ -1411,7 +1411,7 @@ def q_patch_edit(sf_dir: str):
     """Span-based patch planning (M18/M19): replaceText of the <h1> text
     node per page; the node id is fixed by the deterministic wrap shape, so
     the patched html is SQL-reproducible."""
-    from html_parser_ray.stages.derive import PatchStage
+    from html_parser_ray.stages.extract import PATCH, HTML_TEXT, DocStage
     from html_parser_ray.htmlcore.api import parse
     from html_parser_ray.htmlcore.dom import Text
     from html_parser_ray.htmlcore.extract import walk
@@ -1427,17 +1427,10 @@ def q_patch_edit(sf_dir: str):
                           "value": "EDITED"}])
 
     def run(batch: pa.Table) -> pa.Table:
-        ids = {u: i for u, i in zip(batch.column("url").to_pylist(),
-                                    batch.column("doc_id").to_pylist())}
         with_edits = batch.append_column(
             "edits", pa.array([edits] * batch.num_rows, pa.string()))
-        out = PatchStage()(with_edits)
-        return pa.table({
-            "doc_id": pa.array([ids[u] for u in out.column("url").to_pylist()],
-                               pa.int64()),
-            "result": out.column("result"),
-            "status": out.column("status"),
-        })
+        return DocStage(PATCH, decoder=HTML_TEXT)(with_edits).select(
+            ["doc_id", "result", "status"])
 
     return _wrapped_pages(sf_dir).map_batches(run, batch_format="pyarrow")
 
@@ -1464,41 +1457,37 @@ def _media_from_documents(sf_dir: str, kind: str):
     return ds.map_batches(build, batch_format="pyarrow")
 
 
+def _media_features(sf_dir: str, kind: str, projection, decoder,
+                    columns: list[str]):
+    """The media table of ``kind`` through a DocStage task map: payloads
+    are KB-sized cells, so 32 rows a batch."""
+    from html_parser_ray.stages.extract import DocStage
+    out = _media_from_documents(sf_dir, kind).map_batches(
+        DocStage(projection, decoder=decoder), batch_format="pyarrow",
+        batch_size=32)
+    return out.map_batches(lambda b: b.select(columns),
+                           batch_format="pyarrow")
+
+
 def q_image_features(sf_dir: str):
-    """Image decode + feature-extract actor stage; dims are derivable from
-    media_id so the decode path is value-checked end to end."""
-    from html_parser_ray.stages.multimodal import ImageFeatureStage
-    media = _media_from_documents(sf_dir, "image")
-    # (2, 8) autoscaling pool: 2/3 of payloads now decode through the real
-    # JPEG/PNG kernels (~2.5 ms/row), so a fixed pool of 2 bottlenecks at
-    # sf0.1 while 8 fixed actors would starve reads on the 8-cpu driver
-    out = media.map_batches(ImageFeatureStage, batch_format="pyarrow",
-                            batch_size=32, concurrency=(2, 8))
-    return out.map_batches(
-        lambda b: b.select(["media_id", "width", "height", "channels"]),
-        batch_format="pyarrow")
+    """Image decode + feature-extract; dims are derivable from media_id so
+    the decode path is value-checked end to end."""
+    from html_parser_ray.stages.multimodal import IMAGE, IMAGE_FEATURES
+    return _media_features(sf_dir, "image", IMAGE_FEATURES, IMAGE,
+                           ["media_id", "width", "height", "channels"])
 
 
 def q_audio_features(sf_dir: str):
-    from html_parser_ray.stages.multimodal import AudioFeatureStage
-    media = _media_from_documents(sf_dir, "audio")
-    out = media.map_batches(AudioFeatureStage, batch_format="pyarrow",
-                            batch_size=32, concurrency=2)
-    return out.map_batches(
-        lambda b: b.select(["media_id", "sample_rate", "n_samples",
-                            "duration_ms"]),
-        batch_format="pyarrow")
+    from html_parser_ray.stages.multimodal import AUDIO, AUDIO_FEATURES
+    return _media_features(sf_dir, "audio", AUDIO_FEATURES, AUDIO,
+                           ["media_id", "sample_rate", "n_samples",
+                            "duration_ms"])
 
 
 def q_video_frame_sample(sf_dir: str):
-    from html_parser_ray.stages.multimodal import VideoFrameSampleStage
-    media = _media_from_documents(sf_dir, "video")
-    out = media.map_batches(VideoFrameSampleStage, batch_format="pyarrow",
-                            batch_size=32, concurrency=2,
-                            fn_constructor_kwargs={"stride": 4})
-    return out.map_batches(
-        lambda b: b.select(["media_id", "frame_index"]),
-        batch_format="pyarrow")
+    from html_parser_ray.stages.multimodal import VIDEO, VIDEO_FRAMES
+    return _media_features(sf_dir, "video", VIDEO_FRAMES, VIDEO,
+                           ["media_id", "frame_index"])
 
 
 def q_deterministic_sample(sf_dir: str):

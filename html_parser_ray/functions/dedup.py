@@ -255,29 +255,6 @@ def exact_dedup(ds):
             .aggregate(Min("doc_id", alias_name="doc_id")))
 
 
-def minhash_lsh_candidates(ds, *, num_perm: int = 64, bands: int = 16,
-                           shingle_n: int = 3):
-    """documents → Dataset[(band_key, doc_id)] exploded LSH index.
-
-    groupby(band_key) downstream yields candidate buckets; pairs sharing ≥1
-    band are near-dup candidates.
-    """
-    def explode(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_pylist()
-        texts = batch.column("text").to_pylist()
-        out_keys: list[str] = []
-        out_ids: list[int] = []
-        for doc_id, text in zip(ids, texts):
-            sig = minhash_signature(text, num_perm, shingle_n)
-            for key in lsh_band_keys(sig, bands):
-                out_keys.append(key)
-                out_ids.append(doc_id)
-        return pa.table({"band_key": pa.array(out_keys, pa.string()),
-                         "doc_id": pa.array(out_ids, pa.int64())})
-
-    return ds.map_batches(explode, batch_format="pyarrow")
-
-
 def minhash_dedup_pairs(ds, *, num_perm: int = 64, bands: int = 16,
                         shingle_n: int = 3, jaccard_threshold: float = 0.8,
                         bucket_cap: int = DEFAULT_BUCKET_CAP):

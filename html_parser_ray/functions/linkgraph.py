@@ -7,17 +7,16 @@ pipeline needs: the host graph drives crawl prioritization and
 quality-weighted sampling of a 100-TB corpus.
 
 Scale shape:
-  * ``LinkExtractStage`` — task `map_batches` over (url, html):
-    one DOM parse per row via the htmlcore kernel, every ``<a href>`` in
-    the tree (reference traversal semantics: walk over ALL elements,
+  * ``LINKS`` — a DocStage projection over (url, html): one DOM parse per
+    row under the default budgets, every ``<a href>`` in the tree
+    (reference traversal semantics: walk over ALL elements,
     mod.ts:1684-1699 — hidden/template subtrees included), href resolved
-    against the row url. Per-row quarantine: a row that fails to parse
-    emits zero link rows (the extract stage running next to this one
-    already reports the failure). Only (src, href, dst) strings leave
-    the stage — html bytes never shuffle.
+    against the row url. A page that fails to parse gives one quarantine
+    row (DocStage's contract). Only link strings leave the stage — html
+    bytes never shuffle.
   * ``host_edges`` — per-batch partial combine of (src_host, dst_host)
-    counts, then one small groupby; only host-pair rows shuffle
-    (same idiom as urls.host_rollup).
+    counts over the ok rows, then one small groupby; only host-pair rows
+    shuffle (same idiom as urls.host_rollup).
   * ``pagerank`` — K synchronous power iterations over the (materialized
     once) edge list in exact int64 arithmetic, so the result is
     bit-reproducible and SQL-oracle-checkable:
@@ -40,7 +39,11 @@ import re
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
+from ..htmlcore.dom import Element, Text
+from ..htmlcore.extract import walk
+from ..stages.extract import DocStage, Projection
 from .urls import canonicalize_url
 
 logger = logging.getLogger(__name__)
@@ -78,85 +81,72 @@ def resolve_href(base_url: str, href: str) -> str:
     return f"{scheme}://{host}{base_dir}{href}"
 
 
-class LinkExtractStage:
-    """(url, html) batch → exploded (src_url, href, dst_url, anchor)
-    link rows. ``anchor`` is the whitespace-normalized text content of
-    the ``<a>`` subtree (truncated to 200 chars) — the relevance signal
-    anchor-text aggregation feeds on."""
+_ANCHOR_MAX = 200
+_WS = re.compile(r"[ \t\n\r\f]+")
 
-    _ANCHOR_MAX = 200
 
-    def __init__(self):
-        # kernel imports (entity trie, tag tables) load once per worker
-        import re
-        from ..htmlcore.api import parse_bytes
-        from ..htmlcore.dom import Element, Text
-        from ..htmlcore.extract import walk
-        self._parse_bytes = parse_bytes
-        self._walk = walk
-        self._element = Element
-        self._text = Text
-        self._ws = re.compile(r"[ \t\n\r\f]+")
+def _anchor_text(a_node) -> str:
+    parts: list[str] = []
+    stack = list(reversed(a_node.children))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Text):
+            parts.append(node.value)
+        elif isinstance(node, Element):
+            stack.extend(reversed(node.children))
+    return _WS.sub(" ", "".join(parts)).strip()[:_ANCHOR_MAX]
 
-    def _anchor_text(self, a_node) -> str:
-        parts: list[str] = []
-        stack = list(reversed(a_node.children))
-        while stack:
-            node = stack.pop()
-            if isinstance(node, self._text):
-                parts.append(node.value)
-            elif isinstance(node, self._element):
-                stack.extend(reversed(node.children))
-        return self._ws.sub(" ", "".join(parts)).strip()[:self._ANCHOR_MAX]
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch.column("url").to_pylist()
-        htmls = batch.column("html").to_pylist()
-        src_out, href_out, dst_out, anchor_out = [], [], [], []
-        for url, html in zip(urls, htmls):
-            try:
-                tree = self._parse_bytes(html)
-            except Exception:
-                continue                     # quarantined by extract stage
-            for node, _depth in self._walk(tree):
-                if not isinstance(node, self._element) or node.name != "a":
-                    continue
-                href = next((v for k, v in node.attrs if k == "href"), None)
-                if href is None:
-                    continue
-                dst = resolve_href(url, href)
-                if not dst:          # mailto:/javascript:/... — no edge
-                    continue
-                src_out.append(url)
-                href_out.append(href)
-                dst_out.append(dst)
-                anchor_out.append(self._anchor_text(node))
-        return pa.table({
-            "src_url": pa.array(src_out, pa.string()),
-            "href": pa.array(href_out, pa.string()),
-            "dst_url": pa.array(dst_out, pa.string()),
-            "anchor": pa.array(anchor_out, pa.string()),
-        })
+def _links(tree, url: str) -> list[dict]:
+    rows = []
+    for node, _depth in walk(tree):
+        if not isinstance(node, Element) or node.name != "a":
+            continue
+        href = next((v for k, v in node.attrs if k == "href"), None)
+        if href is None:
+            continue
+        dst = resolve_href(url, href)
+        if dst:              # mailto:/javascript:/... — no edge
+            rows.append({"src_url": url, "href": href, "dst_url": dst,
+                         "anchor": _anchor_text(node)})
+    return rows
+
+
+# one row per resolved <a href> of the page at the carried ``url``;
+# ``anchor`` is the whitespace-normalized text content of the <a> subtree
+# (cut to 200 chars), the relevance signal anchor-text aggregation feeds on
+LINKS = Projection(pa.schema({
+    "src_url": pa.string(), "href": pa.string(), "dst_url": pa.string(),
+    "anchor": pa.string(),
+}), _links, reads=("url",))
 
 
 def extract_links(ds, batch_size: int = 16):
-    """Dataset[url, html, ...] → Dataset[src_url, href, dst_url].
+    """Dataset[url, html, ...] → Dataset[..., src_url, href, dst_url,
+    anchor, status, error], one row per link and one quarantine row per
+    page that fails to parse.
 
-    A stateless task map like extract_pages (stages/extract.py): no
-    ``concurrency`` cap, so Ray Data fuses it with neighbouring map stages
-    and sizes it to the free CPUs. batch_size matches extract_pages'
-    byte-aware 16-row bundles (each row is a full HTML parse)."""
-    return ds.map_batches(LinkExtractStage(), batch_format="pyarrow",
+    A task map like extract_pages (stages/extract.py): no ``concurrency``
+    cap, so Ray Data fuses it with neighbouring map stages and sizes it to
+    the free CPUs. batch_size matches extract_pages' byte-aware 16-row
+    bundles (each row is a full HTML parse)."""
+    return ds.map_batches(DocStage(LINKS), batch_format="pyarrow",
                           batch_size=batch_size)
+
+
+def _ok_rows(batch: pa.Table) -> pa.Table:
+    return batch.filter(pc.equal(batch.column("status"), "ok"))
 
 
 def host_edges(links_ds):
     """Dataset[src_url, dst_url, ...] → Dataset[src_host, dst_host,
-    weight] — host-level edge list with parallel-edge counts. Partial
-    combine per batch; only (host, host, count) rows shuffle."""
+    weight] — host-level edge list with parallel-edge counts of the
+    ``status == "ok"`` rows. Partial combine per batch; only (host, host,
+    count) rows shuffle."""
     from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
+        batch = _ok_rows(batch)
         srcs = batch.column("src_url").to_pylist()
         dsts = batch.column("dst_url").to_pylist()
         counts: dict[tuple[str, str], int] = {}
@@ -175,8 +165,8 @@ def host_edges(links_ds):
 
 
 def anchor_rollup(links_ds):
-    """Dataset[dst_url, anchor, ...] → Dataset[(dst_host, anchor,
-    n_links)] — anchor-term frequency per target host, the classic
+    """Dataset[dst_url, anchor, status, ...] → Dataset[(dst_host, anchor,
+    n_links)] over the ``status == "ok"`` rows — anchor-term frequency per target host, the classic
     relevance/description signal for a crawled page (anchor text of
     in-links describes the TARGET).
 
@@ -187,6 +177,7 @@ def anchor_rollup(links_ds):
     from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
+        batch = _ok_rows(batch)
         dsts = batch.column("dst_url").to_pylist()
         anchors = batch.column("anchor").to_pylist()
         counts: dict[tuple[str, str], int] = {}

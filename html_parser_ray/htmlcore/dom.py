@@ -142,10 +142,6 @@ SCOPE_TABLE = (frozenset(["html", "table"]), frozenset(), frozenset())
 WS_CHARS = "\t\n\f\r "
 
 
-def is_all_ws(s: str) -> bool:
-    return not s.strip("\t\n\f\r ")
-
-
 # ---------------------------------------------------------------------------
 # quirks-mode doctype tables (WHATWG spec lists)
 

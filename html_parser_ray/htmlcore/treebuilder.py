@@ -73,16 +73,6 @@ def _is_type_ws(s: str) -> bool:
     return not s.strip(_TYPE_WS)
 
 
-def _anchor_pos(anchors: tuple, d: int) -> int:
-    """Raw source position where the decoded char at index ``d`` of a
-    character run was appended (parse5 token-boundary semantics); see
-    tokenizer._flush_text for the anchor format."""
-    j = len(anchors) - 1
-    while j > 0 and anchors[j][0] > d:
-        j -= 1
-    d0, raw_start, raw_last = anchors[j]
-    return raw_last if raw_last >= 0 else raw_start + (d - d0)
-
 _NUL_RUN = _re.compile("\x00+")
 _IN_HEAD_START = frozenset(["base", "basefont", "bgsound", "link", "meta",
                             "noframes", "script", "style", "template",

@@ -365,11 +365,10 @@ def pdf_layout_blocks(data: bytes) -> list[tuple[int, float, float, str]]:
     return blocks
 
 
-def extract_pdf_text(data: bytes) -> str:
-    """PDF bytes → plain text: runs grouped into lines by (stream, y),
+def layout_text(blocks: list[tuple[int, float, float, str]]) -> str:
+    """Layout runs → plain text: runs grouped into lines by (stream, y),
     lines top-down, runs left-to-right, streams (≈ pages) separated by
     blank lines."""
-    blocks = pdf_layout_blocks(data)
     pages: dict[int, dict[float, list[tuple[float, str]]]] = {}
     for page, x, y, run in blocks:
         pages.setdefault(page, {}).setdefault(y, []).append((x, run))
@@ -382,3 +381,8 @@ def extract_pdf_text(data: bytes) -> str:
             lines.append("".join(runs))
         out_pages.append("\n".join(lines))
     return "\n\n".join(out_pages)
+
+
+def extract_pdf_text(data: bytes) -> str:
+    """PDF bytes → plain text (``layout_text`` of its layout runs)."""
+    return layout_text(pdf_layout_blocks(data))

@@ -3,14 +3,12 @@
 The flagship job, ``run_extract``, runs read → skew split →
 DocStage(VISIBLE_TEXT) → url bucketing → write_parquet once per shard of
 input files, a few shards at a time, with a manifest entry per finished
-shard, so re-submitting the same job resumes it. Rollups pre-aggregate
-inside map_batches before the small groupby.
+shard, so re-submitting the same job resumes it.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import posixpath
 from concurrent.futures import ThreadPoolExecutor, as_completed
 
@@ -30,69 +28,6 @@ def read_pages(sf_dir_or_path, columns: list[str] | None = None,
     import ray
     return ray.data.read_parquet(sf_dir_or_path, columns=columns,
                                  filesystem=filesystem)
-
-
-# ---------------------------------------------------------------------------
-# rollups: extraction stats by (lang, ts_bucket) — partial-aggregate inside
-# map_batches so the all-to-all groupby only moves tiny per-batch partials
-# (SURVEY.md §2.5)
-
-def _partial_rollup(batch: pa.Table) -> pa.Table:
-    ts = batch.column("warc_ts")
-    bucket = pc.strftime(ts, format="%Y-%m")
-    tbl = batch.append_column("ts_bucket", bucket)
-    langs = tbl.column("lang").to_pylist()
-    buckets = tbl.column("ts_bucket").to_pylist()
-    n_errors = tbl.column("n_errors").to_pylist()
-    quirks = tbl.column("quirks_mode").to_pylist()
-    text_len = tbl.column("n_chars").to_pylist()
-    status = tbl.column("status").to_pylist()
-
-    agg: dict[tuple[str, str], list] = {}
-    for i in range(len(langs)):
-        key = (langs[i], buckets[i])
-        slot = agg.get(key)
-        if slot is None:
-            slot = agg[key] = [0, 0, 0, 0, 0]  # docs, errors, quirks, chars, failed
-        slot[0] += 1
-        slot[1] += n_errors[i]
-        slot[2] += 1 if quirks[i] == "quirks" else 0
-        slot[3] += text_len[i]
-        slot[4] += 1 if status[i] != "ok" else 0
-
-    keys = sorted(agg)
-    return pa.table({
-        "lang": pa.array([k[0] for k in keys], pa.string()),
-        "ts_bucket": pa.array([k[1] for k in keys], pa.string()),
-        "docs": pa.array([agg[k][0] for k in keys], pa.int64()),
-        "parse_errors": pa.array([agg[k][1] for k in keys], pa.int64()),
-        "quirks_docs": pa.array([agg[k][2] for k in keys], pa.int64()),
-        "text_chars": pa.array([agg[k][3] for k in keys], pa.int64()),
-        "failed_docs": pa.array([agg[k][4] for k in keys], pa.int64()),
-    })
-
-
-def rollup_stats(extracted_ds):
-    """Dataset[extracted] → Dataset[(lang, ts_bucket, docs, parse_errors,
-    quirks_docs, text_chars, failed_docs, mean_text_chars)]."""
-    from ray.data.aggregate import Sum
-
-    partial = extracted_ds.map_batches(_partial_rollup, batch_format="pyarrow")
-    rolled = partial.groupby(["lang", "ts_bucket"]).aggregate(
-        Sum("docs", alias_name="docs"),
-        Sum("parse_errors", alias_name="parse_errors"),
-        Sum("quirks_docs", alias_name="quirks_docs"),
-        Sum("text_chars", alias_name="text_chars"),
-        Sum("failed_docs", alias_name="failed_docs"),
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        docs = batch.column("docs")
-        chars = batch.column("text_chars")
-        mean = pc.divide(pc.cast(chars, pa.float64()), pc.cast(docs, pa.float64()))
-        return batch.append_column("mean_text_chars", mean)
-
-    return rolled.map_batches(finish, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +110,6 @@ def extract_with_skew_routing(pages_ds, *, giant_bytes: int = GIANT_DOC_BYTES,
     (``perfbench`` among them) still pass a pool size, and honouring it as
     a task cap would block fusion of the split, the extract and the
     stages around them."""
-    import pyarrow.compute as pc
 
     def split(batch: pa.Table):
         sizes = pc.binary_length(batch.column("html"))
@@ -189,19 +123,6 @@ def extract_with_skew_routing(pages_ds, *, giant_bytes: int = GIANT_DOC_BYTES,
 
     routed = pages_ds.map_batches(split, batch_format="pyarrow")
     return extract_pages(routed, batch_size=batch_size)
-
-
-def write_quarantine(extracted_ds, out_dir: str):
-    """Split ok rows from failed rows: failures land in
-    ``out_dir/_quarantine/`` with their error payloads so a 10^12-doc run
-    can be audited/replayed without grepping the main output."""
-    import pyarrow.compute as pc
-
-    def bad_only(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.not_equal(batch.column("status"), "ok"))
-
-    bad = extracted_ds.map_batches(bad_only, batch_format="pyarrow")
-    bad.write_parquet(os.path.join(out_dir, "_quarantine"))
 
 
 def _list_parquet_files(filesystem, path: str) -> list[str]:

@@ -1,4 +1,4 @@
-"""Newline-delimited-JSON source/sink: the other interchange format a
+"""Newline-delimited-JSON source: the other interchange format a
 web-corpus pipeline meets in the wild (CC derivative dumps, OpenWebText/
 Pile-style releases, labeling-tool exports all ship as *.jsonl[.gz]).
 
@@ -42,8 +42,3 @@ def read_jsonl(paths, *, schema: dict[str, pa.DataType] | None = None,
 
     return ds.map_batches(pin, batch_format="pyarrow")
 
-
-def write_jsonl(ds, out_dir: str, **write_kwargs):
-    """Dataset → directory of .jsonl shards (one file per block — the
-    resumable many-files shape, never one giant file)."""
-    ds.write_json(out_dir, **write_kwargs)

@@ -1,28 +1,33 @@
-"""DocStage — the one parse-per-document stage, and the projections it emits.
+"""DocStage — the one per-document stage, and the projections it emits.
 
-Every HTML output of the engine (visible text, main content, outline,
-chunks, serialization, the token stream) is a *projection*: a plain
-function of the parsed tree. ``DocStage`` decodes, tokenizes and builds
-the tree once per page under one resource budget, applies each projection
-it was given to that tree, and owns the quarantine contract and the output
-schema, so a pipeline that needs several outputs parses each page once
-(operator fusion over one scan) and no output can quarantine differently.
+Every per-document output of the engine is a *projection*: a plain
+function of one decoded document. HTML pages decode to a parsed tree
+(visible text, main content, outline, chunks, serialization, the token
+stream, links), PDFs to layout runs, media payloads to pixels, samples or
+frames, and patch inputs to utf-8 text. ``DocStage`` decodes each document
+once with its ``Decoder``, applies each projection it was given to the
+result, and owns the quarantine contract and the output schema, so a
+pipeline that needs several outputs decodes each document once (operator
+fusion over one scan) and no output can quarantine differently.
 
 It is a stateless callable passed as an INSTANCE to
 ``ds.map_batches(DocStage(...), batch_format="pyarrow")``, so it runs as a
 plain map task that Ray Data fuses with the skew split, the url bucketing
 and the write around it (one task operator, warm worker processes reused
-across jobs). Kernel state (compiled regexes, entity trie, interned
-tables) is loaded once per worker at import. ``to_pylist()`` copies each
-row's html bytes into the Python kernel once — unavoidable for a
-pure-Python parser, and small next to the parse itself, which is the
-vectorization unit here: one row = one full HTML parse.
+across jobs), and that reserves no CPU up front, so it finishes on 1-2
+CPUs. Kernel state (compiled regexes, entity trie, interned tables) is
+loaded once per worker at import. ``to_pylist()`` copies each row's html
+bytes into the Python kernel once — unavoidable for a pure-Python parser,
+and small next to the parse itself, which is the vectorization unit here:
+one row = one full HTML parse.
 """
 
 from __future__ import annotations
 
+import json
 from collections.abc import Callable
-from typing import NamedTuple
+from functools import partial
+from typing import Any, NamedTuple
 
 import pyarrow as pa
 
@@ -32,6 +37,7 @@ from ..htmlcore.extract import (
     chunk, outline, serialize, text_content, visible_text,
     visible_text_tokens_with_provenance,
 )
+from ..htmlcore.patch import PatchPlanningError, compute_patch
 
 # per-row resource guards, generous enough for real pages, tight enough to
 # bound worst-case memory/CPU per task (reference budget model:
@@ -40,12 +46,34 @@ DEFAULT_BUDGETS = Budgets(max_input_bytes=64 * 1024 * 1024,
                           max_nodes=2_000_000, max_depth=4_096)
 
 
+class Decoder(NamedTuple):
+    """What DocStage reads: the input ``column`` and the function that
+    decodes one of its cells into the document every projection reads.
+    Other budgets: ``HTML._replace(decode=partial(parse_bytes,
+    budgets=...))``."""
+    column: str
+    decode: Callable[[Any], Any]
+
+
+def _utf8(cell: bytes | str) -> str:
+    return cell if isinstance(cell, str) else cell.decode("utf-8")
+
+
+# the parsed tree of a page's html bytes, under the budgets
+HTML = Decoder("html", partial(parse_bytes, budgets=DEFAULT_BUDGETS))
+# the page's html as a string, for projections that parse it themselves
+HTML_TEXT = Decoder("html", _utf8)
+
+
 class Projection(NamedTuple):
-    """One output read off a parsed tree: ``rows(tree)`` returns a list of
-    row dicts keyed by the names of ``fields`` (one row per page for
-    per-page outputs, one per entry for outline/chunk/token tables)."""
+    """One output read off a decoded document: ``rows(doc, *carried)``
+    returns a list of row dicts keyed by the names of ``fields`` (one row
+    per document for per-document outputs, one per entry for outline,
+    chunk, token, link and frame tables). ``reads`` names the carried
+    input columns whose values for the row follow ``doc`` as arguments."""
     fields: pa.Schema
     rows: Callable[..., list[dict]]
+    reads: tuple[str, ...] = ()
 
 
 def _visible_text(tree) -> list[dict]:
@@ -91,6 +119,13 @@ def _tokens(tree) -> list[dict]:
                 visible_text_tokens_with_provenance(tree))]
 
 
+def _patch(html: str, edits: str) -> list[dict]:
+    # the reference's Edit shapes keyed by node id, as a JSON list
+    # (reference: computePatch mod.ts:2089-2174)
+    plan = compute_patch(html, json.loads(edits))
+    return [{"plan": json.dumps(plan["steps"]), "result": plan["result"]}]
+
+
 _S, _I = pa.string(), pa.int64()
 
 VISIBLE_TEXT = Projection(pa.schema({
@@ -117,6 +152,10 @@ TOKENS = Projection(pa.schema({
     "seq": _I, "kind": _S, "value": _S, "source_node_id": _I,
     "source_role": _S,
 }), _tokens)
+# span-based patch plan + patched html of the carried ``edits`` (M18/M19);
+# compute_patch does its own span-capturing parse, so decode with HTML_TEXT
+PATCH = Projection(pa.schema({"plan": _S, "result": _S}), _patch,
+                   reads=("edits",))
 
 # what run_extract writes: the columns it reads minus html, then
 # VISIBLE_TEXT, then the quarantine columns
@@ -126,62 +165,90 @@ OUTPUT_SCHEMA = pa.schema(
      pa.field("status", _S), pa.field("error", _S)])
 
 
+# exception → status of the quarantine row, first match wins; anything
+# else is "error"
+QUARANTINE_STATUS = (
+    (BudgetExceededError, "budget_exceeded"),
+    (NotImplementedError, "codec_unavailable"),
+    (PatchPlanningError, "plan_error"),
+)
+
+
 class DocStage:
-    """Parse each page's ``html`` once under ``budgets`` and emit the rows
-    of every projection.
+    """Decode each document once with ``decoder`` and emit the rows of
+    every projection.
 
-    Columns: every input column except ``html`` is carried through, then
-    the projections' fields in order (a projection field replaces an input
-    column of the same name), then ``status`` and ``error``.
+    Columns: every input column except the decoder's is carried through,
+    then the projections' fields in order (a projection field replaces an
+    input column of the same name), then ``status`` and ``error``.
 
-    Rows: a page's rows are the product of its projections' row lists, so
-    per-page projections together give one row per page, and an ok page
-    with no outline entries gives no outline rows.
+    Rows: a document's rows are the product of its projections' row
+    lists, so per-document projections together give one row per
+    document, and an ok page with no outline entries gives no outline
+    rows.
 
-    Quarantine: a page whose parse or any projection raises gives exactly
-    one row, with ``status`` ``"budget_exceeded"`` for a
-    ``BudgetExceededError`` and ``"error"`` for anything else, ``error``
-    ``"<ExceptionClass>: <message>"`` cut to 500 characters, and projection
-    columns ``""`` or ``0``. One pathological page never fails the batch,
-    which at 10^12 documents would poison the retry loop. Ok rows have
-    ``status="ok"`` and ``error=""``.
+    Quarantine: a document whose decode or any projection raises gives
+    exactly one row, with projection columns ``""`` or ``0``, ``error``
+    ``"<ExceptionClass>: <message>"`` cut to 500 characters, and
+    ``status`` by the exception:
+
+    ======================  ===================
+    exception               status
+    ======================  ===================
+    BudgetExceededError     budget_exceeded
+    NotImplementedError     codec_unavailable
+    PatchPlanningError      plan_error (its payload code in ``error``)
+    anything else           error
+    ======================  ===================
+
+    One pathological document never fails the batch, which at 10^12
+    documents would poison the retry loop. Ok rows have ``status="ok"``
+    and ``error=""``.
     """
 
-    def __init__(self, *projections: Projection,
-                 budgets: Budgets = DEFAULT_BUDGETS):
+    def __init__(self, *projections: Projection, decoder: Decoder = HTML):
         self.projections = projections
-        self.budgets = budgets
+        self.decoder = decoder
         self.fields = [f for p in projections for f in p.fields]
-        self.failed_row = {f.name: "" if pa.types.is_string(f.type) else 0
+        self.failed_row = {f.name: "" if pa.types.is_string(f.type)
+                           or pa.types.is_binary(f.type) else 0
                            for f in self.fields}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        decode = self.decoder.decode
+        carried = {name: batch.column(name).to_pylist()
+                   for p in self.projections for name in p.reads}
+        calls = [(p.rows, [carried[name] for name in p.reads])
+                 for p in self.projections]
         row_index: list[int] = []
         rows: list[dict] = []
         status: list[str] = []
         error: list[str] = []
-        for i, html in enumerate(batch.column("html").to_pylist()):
+        for i, cell in enumerate(
+                batch.column(self.decoder.column).to_pylist()):
             try:
-                tree = parse_bytes(html, budgets=self.budgets)
+                doc = decode(cell)
                 page = [{}]
-                for projection in self.projections:
-                    more = projection.rows(tree)
+                for project, args in calls:
+                    more = (project(doc, *[col[i] for col in args]) if args
+                            else project(doc))
                     page = [{**row, **extra} for row in page for extra in more]
                 code, reason = "ok", ""
             except Exception as exc:  # noqa: BLE001 — quarantine, never crash
                 page = [self.failed_row]
-                code = ("budget_exceeded"
-                        if isinstance(exc, BudgetExceededError) else "error")
+                code = next((name for cls, name in QUARANTINE_STATUS
+                             if isinstance(exc, cls)), "error")
                 reason = f"{type(exc).__name__}: {exc}"[:500]
             row_index += [i] * len(page)
             rows += page
             status += [code] * len(page)
             error += [reason] * len(page)
 
-        emitted = {"html", "status", "error", *(f.name for f in self.fields)}
-        carried = batch.select([name for name in batch.column_names
-                                if name not in emitted]).take(row_index)
-        out = dict(zip(carried.column_names, carried.columns))
+        emitted = {self.decoder.column, "status", "error",
+                   *(f.name for f in self.fields)}
+        kept = batch.select([name for name in batch.column_names
+                             if name not in emitted]).take(row_index)
+        out = dict(zip(kept.column_names, kept.columns))
         for f in self.fields:
             out[f.name] = pa.array([row[f.name] for row in rows], f.type)
         out["status"] = pa.array(status, _S)
@@ -189,8 +256,7 @@ class DocStage:
         return pa.table(out)
 
 
-def extract_pages(ds, *, batch_size: int = 16,
-                  budgets: Budgets = DEFAULT_BUDGETS):
+def extract_pages(ds, *, batch_size: int = 16):
     """Wire the stage: Dataset[pages] → Dataset[DocStage(VISIBLE_TEXT)].
 
     ``batch_size`` is row-count and doubles as the dispatch bundle size:
@@ -207,7 +273,7 @@ def extract_pages(ds, *, batch_size: int = 16,
     task cap would block that fusion. Tasks run with Ray Data's default
     ``max_retries=-1``: a task whose worker dies is re-run.
     """
-    return ds.map_batches(DocStage(VISIBLE_TEXT, budgets=budgets),
+    return ds.map_batches(DocStage(VISIBLE_TEXT),
                           batch_format="pyarrow", batch_size=batch_size)
 
 

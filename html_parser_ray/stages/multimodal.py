@@ -1,12 +1,12 @@
 """Multimodal columns: image / audio / video as opaque ``binary`` payloads
-with typed metadata, processed by actor-pool ``map_batches`` stages.
+with typed metadata, decoded and projected by ``DocStage`` task maps.
 
 The container has no codec libraries (no PIL / torchaudio / ffmpeg), so the
 DECODE step is gated behind an import-try: with a real library present the
 stage decodes real bytes; otherwise it falls back to the deterministic FAKE
 container format below (or raises NotImplementedError for foreign bytes).
-The Ray-side plumbing — schema, batch sizing, actor signature, output
-layout — is real and tested; only the codec call is stubbed.
+The Ray-side plumbing — schema, batch sizing, output layout — is real and
+tested; only the codec call is stubbed.
 
 FAKE container format (deterministic, self-describing):
   b"FAKEIMG1" + u16 width + u16 height + u8 channels + pixel bytes
@@ -14,8 +14,9 @@ FAKE container format (deterministic, self-describing):
   b"FAKEVID1" + u16 width + u16 height + u16 n_frames + frame bytes
 
 Payloads are multi-KB binary cells: batch_size for these stages must be
-sized in BYTES not rows (see media_pool), exactly the discipline a real
-100 TB image corpus needs.
+sized in BYTES not rows — rows x mean payload well under the worker heap
+(batch_size 8-16 at ~1 MB images) — exactly the discipline a real 100 TB
+image corpus needs.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ import struct
 
 import numpy as np
 import pyarrow as pa
+
+from .extract import Decoder, Projection
 
 MEDIA_SCHEMA = pa.schema([
     ("media_id", pa.int64()),
@@ -235,14 +238,13 @@ def decode_png(payload: bytes) -> tuple[int, int, int, np.ndarray]:
 def _decode_image(payload: bytes) -> tuple[int, int, int, np.ndarray]:
     if payload.startswith(b"FAKEIMG1"):
         width, height, channels = struct.unpack_from("<HHB", payload, 8)
-        # degenerate dims are a torn/crafted payload: fail INSIDE the
-        # quarantine guard — the feature/resize math downstream is
-        # deliberately unguarded and assumes a non-empty image
+        # degenerate dims are a torn/crafted payload: reject them here,
+        # as ValueError, since the feature/resize math assumes a
+        # non-empty image
         if width <= 0 or height <= 0 or channels <= 0:
             raise ValueError(
                 f"degenerate image dims {width}x{height}x{channels}")
-        # (np.frombuffer raises ValueError on truncated pixel data —
-        # also inside the guard)
+        # (np.frombuffer raises ValueError on truncated pixel data)
         pixels = np.frombuffer(payload, dtype=np.uint8, offset=13,
                                count=width * height * channels)
         return width, height, channels, pixels.reshape(height, width, channels)
@@ -279,186 +281,81 @@ def _decode_video(payload: bytes) -> tuple[int, int, int, bytes]:
 
 
 # ---------------------------------------------------------------------------
-# actor stages
+# decoders and projections: run on DocStage as task maps, e.g.
+# ``ds.map_batches(DocStage(IMAGE_FEATURES, decoder=IMAGE), ...)``
 
-class ImageFeatureStage:
-    """media(image) → (media_id, width, height, channels, mean_luma_bp,
-    phash) — decode + feature-extract, one row per image."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch.column("media_id").to_pylist()
-        payloads = batch.column("payload").to_pylist()
-        out = {"media_id": [], "width": [], "height": [], "channels": [],
-               "mean_luma_bp": [], "phash": [], "status": []}
-        for mid, payload in zip(ids, payloads):
-            # only the DECODE is quarantine-guarded — corrupt/torn
-            # payloads are normal in a crawl and quarantine the ROW; a
-            # failure in the feature math below would be a code bug and
-            # must stay loud, not masquerade as decode_error
-            try:
-                w, h, c, arr = _decode_image(payload)
-            except NotImplementedError:
-                out["media_id"].append(mid)
-                out["width"].append(0)
-                out["height"].append(0)
-                out["channels"].append(0)
-                out["mean_luma_bp"].append(0)
-                out["phash"].append(0)
-                out["status"].append("codec_unavailable")
-                continue
-            except Exception:
-                out["media_id"].append(mid)
-                out["width"].append(0)
-                out["height"].append(0)
-                out["channels"].append(0)
-                out["mean_luma_bp"].append(0)
-                out["phash"].append(0)
-                out["status"].append("decode_error")
-                continue
-            luma = float(arr.astype(np.float64).mean()) / 255.0
-            # 64-bit average-hash over an 8x8 downsample (public aHash)
-            gray = arr.mean(axis=2)
-            ys = np.linspace(0, h - 1, 8).astype(int)
-            xs = np.linspace(0, w - 1, 8).astype(int)
-            small = gray[np.ix_(ys, xs)]
-            bits = (small > small.mean()).flatten()
-            phash = 0
-            for i, b in enumerate(bits):
-                if b:
-                    phash |= 1 << i
-            out["media_id"].append(mid)
-            out["width"].append(w)
-            out["height"].append(h)
-            out["channels"].append(c)
-            out["mean_luma_bp"].append(int(round(luma * 10_000)))
-            out["phash"].append(phash & ((1 << 63) - 1))
-            out["status"].append("ok")
-        return pa.table({
-            "media_id": pa.array(out["media_id"], pa.int64()),
-            "width": pa.array(out["width"], pa.int64()),
-            "height": pa.array(out["height"], pa.int64()),
-            "channels": pa.array(out["channels"], pa.int64()),
-            "mean_luma_bp": pa.array(out["mean_luma_bp"], pa.int64()),
-            "phash": pa.array(out["phash"], pa.int64()),
-            "status": pa.array(out["status"], pa.string()),
-        })
+IMAGE = Decoder("payload", _decode_image)
+AUDIO = Decoder("payload", _decode_audio)
+VIDEO = Decoder("payload", _decode_video)
 
 
-class ImageResizeStage:
-    """media(image) → re-encoded FAKEIMG1 payload at target size
-    (nearest-neighbor; a real deployment swaps the codec call only)."""
-
-    def __init__(self, target_width: int = 16, target_height: int = 16):
-        self.tw = target_width
-        self.th = target_height
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch.column("media_id").to_pylist()
-        payloads = batch.column("payload").to_pylist()
-        out_ids, out_payloads, status = [], [], []
-        for mid, payload in zip(ids, payloads):
-            try:   # decode-only guard (see ImageFeatureStage)
-                w, h, c, arr = _decode_image(payload)
-            except NotImplementedError:
-                out_ids.append(mid)
-                out_payloads.append(b"")
-                status.append("codec_unavailable")
-                continue
-            except Exception:
-                out_ids.append(mid)
-                out_payloads.append(b"")
-                status.append("decode_error")
-                continue
-            ys = np.linspace(0, h - 1, self.th).astype(int)
-            xs = np.linspace(0, w - 1, self.tw).astype(int)
-            small = arr[np.ix_(ys, xs)]
-            out_ids.append(mid)
-            out_payloads.append(
-                b"FAKEIMG1" + struct.pack("<HHB", self.tw, self.th, c)
-                + small.tobytes())
-            status.append("ok")
-        return pa.table({
-            "media_id": pa.array(out_ids, pa.int64()),
-            "payload": pa.array(out_payloads, pa.binary()),
-            "width": pa.array([self.tw] * len(out_ids), pa.int64()),
-            "height": pa.array([self.th] * len(out_ids), pa.int64()),
-            "status": pa.array(status, pa.string()),
-        })
+def _image_features(image) -> list[dict]:
+    w, h, c, arr = image
+    luma = float(arr.astype(np.float64).mean()) / 255.0
+    # 64-bit average-hash over an 8x8 downsample (public aHash)
+    gray = arr.mean(axis=2)
+    ys = np.linspace(0, h - 1, 8).astype(int)
+    xs = np.linspace(0, w - 1, 8).astype(int)
+    small = gray[np.ix_(ys, xs)]
+    bits = (small > small.mean()).flatten()
+    phash = 0
+    for i, b in enumerate(bits):
+        if b:
+            phash |= 1 << i
+    return [{"width": w, "height": h, "channels": c,
+             "mean_luma_bp": int(round(luma * 10_000)),
+             "phash": phash & ((1 << 63) - 1)}]
 
 
-class AudioFeatureStage:
-    """media(audio) → (media_id, sample_rate, n_samples, duration_ms,
-    rms_bp, zero_crossings)."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch.column("media_id").to_pylist()
-        payloads = batch.column("payload").to_pylist()
-        out = {"media_id": [], "sample_rate": [], "n_samples": [],
-               "duration_ms": [], "rms_bp": [], "zero_crossings": [],
-               "status": []}
-        for mid, payload in zip(ids, payloads):
-            try:
-                rate, samples = _decode_audio(payload)
-                f = samples.astype(np.float64) / 32768.0
-                rms = float(np.sqrt((f * f).mean())) if len(f) else 0.0
-                zc = int(((f[:-1] * f[1:]) < 0).sum()) if len(f) > 1 else 0
-                out["media_id"].append(mid)
-                out["sample_rate"].append(rate)
-                out["n_samples"].append(len(samples))
-                out["duration_ms"].append(int(len(samples) * 1000 / rate))
-                out["rms_bp"].append(int(round(rms * 10_000)))
-                out["zero_crossings"].append(zc)
-                out["status"].append("ok")
-            except NotImplementedError:
-                out["media_id"].append(mid)
-                out["sample_rate"].append(0)
-                out["n_samples"].append(0)
-                out["duration_ms"].append(0)
-                out["rms_bp"].append(0)
-                out["zero_crossings"].append(0)
-                out["status"].append("codec_unavailable")
-        return pa.table({k: pa.array(v, pa.int64() if k != "status"
-                                     else pa.string())
-                         for k, v in out.items()})
+def _image_resize(image, target_width: int = 16,
+                  target_height: int = 16) -> list[dict]:
+    # nearest-neighbor, re-encoded as FAKEIMG1 (a real deployment swaps
+    # the codec call only)
+    w, h, c, arr = image
+    ys = np.linspace(0, h - 1, target_height).astype(int)
+    xs = np.linspace(0, w - 1, target_width).astype(int)
+    small = arr[np.ix_(ys, xs)]
+    return [{"payload": b"FAKEIMG1"
+             + struct.pack("<HHB", target_width, target_height, c)
+             + small.tobytes(),
+             "width": target_width, "height": target_height}]
 
 
-class VideoFrameSampleStage:
-    """media(video) → one row per sampled frame (every ``stride``-th),
-    frame re-encoded as a FAKEIMG1 payload — the explode shape a real
-    frame-sampling stage has."""
-
-    def __init__(self, stride: int = 4):
-        self.stride = stride
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch.column("media_id").to_pylist()
-        payloads = batch.column("payload").to_pylist()
-        out_ids, frame_idx, frames = [], [], []
-        for mid, payload in zip(ids, payloads):
-            try:
-                w, h, n_frames, data = _decode_video(payload)
-            except NotImplementedError:
-                continue
-            frame_size = w * h
-            for i in range(0, n_frames, self.stride):
-                raw = data[i * frame_size:(i + 1) * frame_size]
-                out_ids.append(mid)
-                frame_idx.append(i)
-                frames.append(b"FAKEIMG1" + struct.pack("<HHB", w, h, 1) + raw)
-        return pa.table({
-            "media_id": pa.array(out_ids, pa.int64()),
-            "frame_index": pa.array(frame_idx, pa.int64()),
-            "frame_payload": pa.array(frames, pa.binary()),
-        })
+def _audio_features(audio) -> list[dict]:
+    rate, samples = audio
+    f = samples.astype(np.float64) / 32768.0
+    rms = float(np.sqrt((f * f).mean())) if len(f) else 0.0
+    zc = int(((f[:-1] * f[1:]) < 0).sum()) if len(f) > 1 else 0
+    return [{"sample_rate": rate, "n_samples": len(samples),
+             "duration_ms": int(len(samples) * 1000 / rate),
+             "rms_bp": int(round(rms * 10_000)), "zero_crossings": zc}]
 
 
-def media_pool(ds, cls, *, batch_size: int = 32, num_cpus: float = 1, **ctor):
-    """Wire a media stage: SMALL batches — payloads are KB-to-MB binary
-    cells, so rows x mean-payload must stay well under the worker heap
-    (for real image corpora use batch_size 8-16 at ~1 MB images)."""
-    import ray
-    n = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-    concurrency = max(2, int(n * 0.75 / max(num_cpus, 1e-9)))
-    return ds.map_batches(cls, fn_constructor_kwargs=ctor,
-                          batch_format="pyarrow", batch_size=batch_size,
-                          concurrency=concurrency, num_cpus=num_cpus)
+def _video_frames(video, stride: int = 4) -> list[dict]:
+    # every ``stride``-th frame, re-encoded as a FAKEIMG1 payload
+    w, h, n_frames, data = video
+    frame_size = w * h
+    return [{"frame_index": i,
+             "frame_payload": b"FAKEIMG1" + struct.pack("<HHB", w, h, 1)
+             + data[i * frame_size:(i + 1) * frame_size]}
+            for i in range(0, n_frames, stride)]
+
+
+_I = pa.int64()
+
+IMAGE_FEATURES = Projection(pa.schema({
+    "width": _I, "height": _I, "channels": _I, "mean_luma_bp": _I,
+    "phash": _I,
+}), _image_features)
+# other sizes: IMAGE_RESIZE._replace(rows=partial(_image_resize, ...))
+IMAGE_RESIZE = Projection(pa.schema({
+    "payload": pa.binary(), "width": _I, "height": _I,
+}), _image_resize)
+AUDIO_FEATURES = Projection(pa.schema({
+    "sample_rate": _I, "n_samples": _I, "duration_ms": _I, "rms_bp": _I,
+    "zero_crossings": _I,
+}), _audio_features)
+# one row per sampled frame (the explode shape a real frame sampler has)
+VIDEO_FRAMES = Projection(pa.schema({
+    "frame_index": _I, "frame_payload": pa.binary(),
+}), _video_frames)

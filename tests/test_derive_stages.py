@@ -1,5 +1,5 @@
-"""Derived-output stage tests: outline/chunk/serialize/tokens projections
-and patch planning over page batches, matching the single-doc kernel per
+"""Derived-output stage tests: outline/chunk/serialize/tokens/patch
+projections over page batches, matching the single-doc kernel per
 url."""
 
 import functools
@@ -13,9 +13,8 @@ from html_parser_ray.htmlcore.extract import (
     outline, serialize, text_content, visible_text_tokens_with_provenance,
 )
 from html_parser_ray.sources.synth import make_table
-from html_parser_ray.stages.derive import PatchStage
 from html_parser_ray.stages.extract import (
-    CHUNKS, OUTLINE, SERIALIZED, TOKENS, DocStage,
+    CHUNKS, HTML_TEXT, OUTLINE, PATCH, SERIALIZED, TOKENS, DocStage,
 )
 
 
@@ -135,8 +134,25 @@ def test_patch_stage_applies_and_quarantines():
         "html": pa.array([html, html], pa.string()),
         "edits": pa.array([good, bad], pa.string()),
     })
-    out = PatchStage()(batch)
+    out = DocStage(PATCH, decoder=HTML_TEXT)(batch)
     assert out.column("result").to_pylist()[0] == \
         '<div><p class="x">uno</p></div>'
-    assert out.column("status").to_pylist() == \
-        ["ok", "plan_error:NODE_NOT_FOUND"]
+    assert out.column("status").to_pylist() == ["ok", "plan_error"]
+    assert out.column("error").to_pylist() == \
+        ["", "PatchPlanningError: NODE_NOT_FOUND"]
+
+
+def test_patch_stage_quarantines_non_utf8_html():
+    """html bytes that are not utf-8 fail the decode: one quarantine row,
+    and the rest of the batch is still planned."""
+    edits = json.dumps([])
+    batch = pa.table({
+        "url": pa.array(["a", "b"], pa.string()),
+        "html": pa.array([b"<p>caf\xe9</p>", b"<p>ok</p>"], pa.binary()),
+        "edits": pa.array([edits, edits], pa.string()),
+    })
+    out = DocStage(PATCH, decoder=HTML_TEXT)(batch)
+    assert out.column("status").to_pylist() == ["error", "ok"]
+    assert out.column("error").to_pylist()[0].startswith(
+        "UnicodeDecodeError: ")
+    assert out.column("result").to_pylist() == ["", "<p>ok</p>"]

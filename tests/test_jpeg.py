@@ -173,8 +173,9 @@ def test_rejects_missing_sof():
 
 def test_image_feature_stage_decodes_all_three_formats():
     import pyarrow as pa
+    from html_parser_ray.stages.extract import DocStage
     from html_parser_ray.stages.multimodal import (
-        ImageFeatureStage, make_image_payload)
+        IMAGE, IMAGE_FEATURES, make_image_payload)
     ids = list(range(12))
     payloads = [make_image_payload(i) for i in ids]
     magics = {p[:2] for p in payloads}
@@ -186,7 +187,7 @@ def test_image_feature_stage_decodes_all_three_formats():
         "payload": pa.array(payloads, pa.binary()),
         "source_url": pa.array(["x"] * len(ids), pa.string()),
     })
-    out = ImageFeatureStage()(tbl)
+    out = DocStage(IMAGE_FEATURES, decoder=IMAGE)(tbl)
     assert set(out.column("status").to_pylist()) == {"ok"}
     for mid, w, h, c in zip(out.column("media_id").to_pylist(),
                             out.column("width").to_pylist(),

@@ -172,13 +172,37 @@ def test_anchor_text_extraction(ray_session):
 def test_anchor_rollup_counts(ray_session):
     import ray
     from html_parser_ray.functions.linkgraph import anchor_rollup
+    # the quarantine row of a failed page is not counted
     tbl = pa.table({
         "dst_url": pa.array(["http://a.example.com/1",
                              "http://a.example.com/2",
-                             "http://b.example.com/1"], pa.string()),
-        "anchor": pa.array(["home", "home", "docs"], pa.string()),
+                             "http://b.example.com/1", ""], pa.string()),
+        "anchor": pa.array(["home", "home", "docs", ""], pa.string()),
+        "status": pa.array(["ok", "ok", "ok", "error"], pa.string()),
     })
     rows = sorted((r["dst_host"], r["anchor"], r["n_links"]) for r in
                   anchor_rollup(ray.data.from_arrow(tbl)).take_all())
     assert rows == [("a.example.com", "home", 2),
                     ("b.example.com", "docs", 1)]
+
+
+def test_failed_page_is_one_link_table_row(ray_session):
+    """A page that fails to parse is one counted quarantine row in the
+    link table, not a silent drop, and the host rollups skip it."""
+    import ray
+    from html_parser_ray.functions.linkgraph import (
+        extract_links, host_edges)
+    ds = ray.data.from_arrow(pa.table({
+        "url": pa.array(["http://a.com/ok", "http://a.com/bad"],
+                        pa.string()),
+        "html": pa.array([b"<a href='http://b.com/'>b</a>", None],
+                         pa.binary()),
+    }))
+    rows = {r["url"]: r for r in extract_links(ds).take_all()}
+    assert rows["http://a.com/ok"]["status"] == "ok"
+    bad = rows["http://a.com/bad"]
+    assert bad["status"] == "error" and bad["error"]
+    assert (bad["src_url"], bad["href"], bad["dst_url"]) == ("", "", "")
+    edges = [(r["src_host"], r["dst_host"], r["weight"])
+             for r in host_edges(extract_links(ds)).take_all()]
+    assert edges == [("a.com", "b.com", 1)]

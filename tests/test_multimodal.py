@@ -1,15 +1,29 @@
-"""Multimodal stage tests: synthetic media table, decode/feature/resize/
-frame-sample stages (codec boundary stubbed, Ray plumbing real)."""
+"""Multimodal tests: synthetic media table, decode/feature/resize/
+frame-sample projections on DocStage (codec boundary stubbed, Ray
+plumbing real)."""
+
+from functools import partial
 
 import pyarrow as pa
 import pytest
 
+from html_parser_ray.stages.extract import DocStage
 from html_parser_ray.stages.multimodal import (
-    AudioFeatureStage, ImageFeatureStage, ImageResizeStage,
-    VideoFrameSampleStage, MEDIA_SCHEMA, make_audio_payload,
-    make_image_payload, make_video_payload, media_pool, media_table,
-    _decode_image,
+    AUDIO, AUDIO_FEATURES, IMAGE, IMAGE_FEATURES, IMAGE_RESIZE, VIDEO,
+    VIDEO_FRAMES, MEDIA_SCHEMA, make_audio_payload, make_video_payload,
+    media_table, _decode_image, _image_resize,
 )
+
+image_features = DocStage(IMAGE_FEATURES, decoder=IMAGE)
+
+
+def _media(payloads: list[bytes], kind: str) -> pa.Table:
+    return pa.table({
+        "media_id": pa.array(range(len(payloads)), pa.int64()),
+        "kind": pa.array([kind] * len(payloads), pa.string()),
+        "payload": pa.array(payloads, pa.binary()),
+        "source_url": pa.array(["x"] * len(payloads), pa.string()),
+    })
 
 
 def test_media_table_schema_and_determinism():
@@ -23,7 +37,7 @@ def test_media_table_schema_and_determinism():
 def test_image_features_batch():
     tbl = media_table(30).filter(
         pa.compute.equal(pa.compute.field("kind"), "image"))
-    out = ImageFeatureStage()(tbl)
+    out = image_features(tbl)
     assert out.num_rows == tbl.num_rows
     assert set(out.column("status").to_pylist()) == {"ok"}
     for mid, w, h in zip(out.column("media_id").to_pylist(),
@@ -38,15 +52,16 @@ def test_image_features_batch():
 def test_image_features_determinism_and_phash_stability():
     tbl = media_table(9).filter(
         pa.compute.equal(pa.compute.field("kind"), "image"))
-    out1 = ImageFeatureStage()(tbl)
-    out2 = ImageFeatureStage()(tbl)
+    out1 = image_features(tbl)
+    out2 = image_features(tbl)
     assert out1.equals(out2)
 
 
 def test_image_resize_roundtrip():
     tbl = media_table(9).filter(
         pa.compute.equal(pa.compute.field("kind"), "image"))
-    out = ImageResizeStage(target_width=8, target_height=8)(tbl)
+    out = DocStage(IMAGE_RESIZE._replace(rows=partial(
+        _image_resize, target_width=8, target_height=8)), decoder=IMAGE)(tbl)
     assert set(out.column("status").to_pylist()) == {"ok"}
     for payload in out.column("payload").to_pylist():
         w, h, c, arr = _decode_image(payload)
@@ -54,22 +69,17 @@ def test_image_resize_roundtrip():
 
 
 def test_unknown_codec_quarantined_not_raised():
-    tbl = pa.table({
-        "media_id": pa.array([1], pa.int64()),
-        "kind": pa.array(["image"], pa.string()),
-        "payload": pa.array([b"\x89PNG\r\n\x1a\nnotreally"], pa.binary()),
-        "source_url": pa.array(["x"], pa.string()),
-    })
-    out = ImageFeatureStage()(tbl)
-    # PNG magic with a torn body is now a real decode attempt that
-    # fails — quarantined per row as decode_error, never raised
-    assert out.column("status").to_pylist() == ["decode_error"]
+    out = image_features(_media([b"\x89PNG\r\n\x1a\nnotreally"], "image"))
+    # PNG magic with a torn body is a real decode attempt that fails —
+    # quarantined per row as error, never raised
+    assert out.column("status").to_pylist() == ["error"]
+    assert out.column("error").to_pylist()[0].startswith("ValueError: ")
 
 
 def test_audio_features_batch():
     tbl = media_table(30).filter(
         pa.compute.equal(pa.compute.field("kind"), "audio"))
-    out = AudioFeatureStage()(tbl)
+    out = DocStage(AUDIO_FEATURES, decoder=AUDIO)(tbl)
     assert set(out.column("status").to_pylist()) == {"ok"}
     for mid, n in zip(out.column("media_id").to_pylist(),
                       out.column("n_samples").to_pylist()):
@@ -80,7 +90,7 @@ def test_audio_features_batch():
 def test_video_frame_sample_explodes():
     tbl = media_table(30).filter(
         pa.compute.equal(pa.compute.field("kind"), "video"))
-    out = VideoFrameSampleStage(stride=4)(tbl)
+    out = DocStage(VIDEO_FRAMES, decoder=VIDEO)(tbl)
     by_id: dict[int, list[int]] = {}
     for mid, idx in zip(out.column("media_id").to_pylist(),
                         out.column("frame_index").to_pylist()):
@@ -93,15 +103,39 @@ def test_video_frame_sample_explodes():
         assert (w, h, c) == (32, 24, 1)
 
 
-def test_media_pool_dataset(ray_session):
+def test_image_features_task_map(ray_session):
     import ray
     tbl = media_table(60).filter(
         pa.compute.equal(pa.compute.field("kind"), "image"))
     ds = ray.data.from_arrow(tbl)
-    out = pa.Table.from_pylist(
-        media_pool(ds, ImageFeatureStage, batch_size=8).take_all())
+    out = pa.Table.from_pylist(ds.map_batches(
+        image_features, batch_format="pyarrow", batch_size=8).take_all())
     assert out.num_rows == tbl.num_rows
     assert set(out.column("status").to_pylist()) == {"ok"}
+
+
+@pytest.mark.parametrize("decoder,projection,torn,good", [
+    (AUDIO, AUDIO_FEATURES, b"FAKEAUD1\x01", make_audio_payload(1)),
+    (VIDEO, VIDEO_FRAMES, b"FAKEVID1\x01", make_video_payload(1)),
+])
+def test_truncated_media_payload_quarantined(decoder, projection, torn,
+                                              good):
+    """A torn header raises struct.error in the decoder: one quarantine
+    row, and the rest of the batch still decodes."""
+    out = DocStage(projection, decoder=decoder)(_media([torn, good], "x"))
+    rows = out.to_pylist()
+    assert rows[0]["media_id"] == 0
+    assert rows[0]["status"] == "error"
+    assert rows[0]["error"].startswith("error: ")     # struct.error
+    assert {r["media_id"] for r in rows[1:]} == {1}
+    assert {r["status"] for r in rows[1:]} == {"ok"}
+
+
+def test_video_without_codec_gives_codec_unavailable_row():
+    out = DocStage(VIDEO_FRAMES, decoder=VIDEO)(
+        _media([b"RIFF....AVI "], "video"))
+    assert out.column("status").to_pylist() == ["codec_unavailable"]
+    assert out.column("frame_payload").to_pylist() == [b""]
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +235,11 @@ def test_png_decode_rejects_unsupported():
 
 def test_image_feature_stage_decodes_real_png(ray_session):
     """The FAKE->real bridge: a genuine PNG payload flows through the
-    actor stage with status=ok and real dimensions — the plumbing is no
+    task map with status=ok and real dimensions — the plumbing is no
     longer the only tested part."""
     import numpy as np
     import pyarrow as pa
     import ray
-    from html_parser_ray.stages.multimodal import ImageFeatureStage
     rng = np.random.default_rng(3)
     arr = rng.integers(0, 256, size=(12, 10, 3), dtype=np.uint8)
     tbl = pa.table({
@@ -219,8 +252,7 @@ def test_image_feature_stage_decodes_real_png(ray_session):
                                pa.string()),
     })
     rows = sorted(ray.data.from_arrow(tbl).map_batches(
-        ImageFeatureStage, concurrency=1, batch_size=4,
-        batch_format="pyarrow").take_all(),
+        image_features, batch_size=4, batch_format="pyarrow").take_all(),
         key=lambda r: r["media_id"])
     assert rows[0]["status"] == "ok"
     assert (rows[0]["width"], rows[0]["height"]) == (10, 12)

@@ -1,4 +1,4 @@
-"""pdfcore kernel + PdfExtractStage tests (north-star PDF/layout parse).
+"""pdfcore kernel + PDF task map tests (north-star PDF/layout parse).
 
 The kernel is a from-scratch stdlib implementation for the digital-born
 subset: lexical object scan, FlateDecode, content-stream tokenizer,
@@ -105,8 +105,7 @@ def test_pdf_extract_stage(ray_session):
         "pdf": pa.array(pdfs, pa.binary()),
     }))
     rows = {r["doc_id"]: r
-            for r in pdf_extract_pages(ds, concurrency=2,
-                                       batch_size=2).take_all()}
+            for r in pdf_extract_pages(ds, batch_size=2).take_all()}
     assert rows[1]["pdf_text"] == "first doc text"
     assert rows[1]["status"] == "ok"
     assert rows[2]["pdf_text"] == ""    # graceful empty, not error

@@ -1,4 +1,4 @@
-"""Ray Data integration tests: DocStage task stage, rollups, url-hash
+"""Ray Data integration tests: DocStage task stage, url-hash
 partitioned + resumable writes, dedup/ann Dataset operators, and byte-parity
 of the distributed path with the single-doc kernel."""
 
@@ -47,9 +47,10 @@ def test_extract_stage_matches_kernel(pages_table):
 
 
 def test_extract_stage_quarantines_bad_rows():
-    from html_parser_ray.stages.extract import VISIBLE_TEXT, DocStage
+    from html_parser_ray.stages.extract import HTML, VISIBLE_TEXT, DocStage
     from html_parser_ray.htmlcore.api import Budgets
     import datetime
+    import functools
     big = b"<p>" + b"x" * 1000
     batch = pa.table({
         "url": pa.array(["u1", "u2"], pa.string()),
@@ -58,7 +59,9 @@ def test_extract_stage_quarantines_bad_rows():
         "html": pa.array([b"<p>fine</p>", big], pa.binary()),
         "lang": pa.array(["en", "en"], pa.string()),
     })
-    stage = DocStage(VISIBLE_TEXT, budgets=Budgets(max_input_bytes=100))
+    decoder = HTML._replace(decode=functools.partial(
+        parse_bytes, budgets=Budgets(max_input_bytes=100)))
+    stage = DocStage(VISIBLE_TEXT, decoder=decoder)
     out = stage(batch)
     assert out.column("status").to_pylist() == ["ok", "budget_exceeded"]
     assert out.column("text").to_pylist()[0] == "fine"
@@ -74,19 +77,6 @@ def test_extract_pages_dataset(ray_session):
     assert set(tbl.column("status").to_pylist()) <= {"ok", "budget_exceeded", "error"}
     ok = [s for s in tbl.column("status").to_pylist() if s == "ok"]
     assert len(ok) >= 78
-
-
-def test_rollup_stats(ray_session):
-    from html_parser_ray.sources.synth import pages_dataset
-    from html_parser_ray.stages.extract import extract_pages
-    from html_parser_ray.pipelines.extract import rollup_stats
-    extracted = extract_pages(pages_dataset(60, seed=5, parallelism=4),
-                              batch_size=32)
-    rolled = pa.Table.from_pylist(rollup_stats(extracted).take_all())
-    assert {"lang", "ts_bucket", "docs", "parse_errors", "quirks_docs",
-            "text_chars", "failed_docs", "mean_text_chars"} <= \
-        set(rolled.column_names)
-    assert sum(rolled.column("docs").to_pylist()) == 60
 
 
 def test_partitioned_write_and_lineage(ray_session, tmp_path):
@@ -430,35 +420,64 @@ def test_resumable_extract_resumes_after_driver_sigkill(
     assert collect(crash_out) == expected
 
 
-@pytest.mark.parametrize("num_cpus", [1, 2])
-def test_run_extract_completes_at_low_cpu_counts(tmp_path, num_cpus):
-    """run_extract with its defaults finishes on a 1- and a 2-CPU cluster
-    (a stage that reserves CPUs up front starves the read and hangs
-    there). Each size runs in a child process with its own Ray cluster of
-    exactly that size; the timeout turns a hang into a failure."""
+@pytest.mark.parametrize("job,num_cpus", [
+    pytest.param("run_extract", 1, id="1"),
+    pytest.param("run_extract", 2, id="2"),
+    pytest.param("pdf_image", 1, id="pdf_image-1"),
+    pytest.param("pdf_image", 2, id="pdf_image-2"),
+])
+def test_run_extract_completes_at_low_cpu_counts(tmp_path, job, num_cpus):
+    """run_extract, and the PDF and image task maps, finish with their
+    defaults on a 1- and a 2-CPU cluster (a stage that reserves CPUs up
+    front starves the read and hangs there). Each runs in a child process
+    with its own Ray cluster of exactly that size; the timeout turns a
+    hang into a failure. Every input row must come out ok."""
     import signal
     import subprocess
     import sys as _sys
 
+    from html_parser_ray.pdfcore import make_minimal_pdf
     from html_parser_ray.sources.synth import write_pages_parquet
+    from html_parser_ray.stages.multimodal import make_image_payload
 
-    in_dir = str(tmp_path / "in")
-    out_dir = str(tmp_path / "out")
+    in_dir = tmp_path / "in"
+    out_dir = tmp_path / "out"
     os.makedirs(in_dir)
-    urls = []
-    for i in range(4):
-        write_pages_parquet(os.path.join(in_dir, f"{i}.parquet"), 20,
-                            seed=i + 1, start=i * 20)
-        urls += pq.read_table(os.path.join(in_dir, f"{i}.parquet"),
-                              columns=["url"]).column("url").to_pylist()
+    if job == "run_extract":
+        key, outputs = "url", [out_dir]
+        for i in range(4):
+            write_pages_parquet(str(in_dir / f"{i}.parquet"), 20,
+                                seed=i + 1, start=i * 20)
+        run = ("from html_parser_ray.pipelines.extract import run_extract\n"
+               "run_extract(IN, OUT)\n")
+    else:
+        key, outputs = "doc_id", [out_dir / "pdf", out_dir / "image"]
+        for i in range(4):
+            ids = range(i * 10, i * 10 + 10)
+            pq.write_table(pa.table({
+                "doc_id": pa.array(ids, pa.int64()),
+                "pdf": pa.array([make_minimal_pdf(f"doc {d}") for d in ids],
+                                pa.binary()),
+                "payload": pa.array([make_image_payload(d) for d in ids],
+                                    pa.binary()),
+            }), str(in_dir / f"{i}.parquet"))
+        run = ("from html_parser_ray.stages.extract import DocStage\n"
+               "from html_parser_ray.stages.multimodal import (\n"
+               "    IMAGE, IMAGE_FEATURES)\n"
+               "from html_parser_ray.stages.pdf_extract import (\n"
+               "    pdf_extract_pages)\n"
+               "docs = ray.data.read_parquet(IN)\n"
+               "pdf_extract_pages(docs).write_parquet(OUT + '/pdf')\n"
+               "docs.map_batches(DocStage(IMAGE_FEATURES, decoder=IMAGE),\n"
+               "                 batch_format='pyarrow', batch_size=32\n"
+               "                 ).write_parquet(OUT + '/image')\n")
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     child_src = (
         "import ray, sys\n"
         f"ray.init(address='local', num_cpus={num_cpus}, "
         "include_dashboard=False, object_store_memory=200 * 1024 * 1024)\n"
         f"sys.path.insert(0, {repo!r})\n"
-        "from html_parser_ray.pipelines.extract import run_extract\n"
-        f"run_extract({in_dir!r}, {out_dir!r})\n")
+        f"IN, OUT = {str(in_dir)!r}, {str(out_dir)!r}\n" + run)
     child = subprocess.Popen([_sys.executable, "-c", child_src],
                              start_new_session=True,
                              stdout=subprocess.DEVNULL,
@@ -467,14 +486,17 @@ def test_run_extract_completes_at_low_cpu_counts(tmp_path, num_cpus):
         assert child.wait(timeout=120) == 0
     except subprocess.TimeoutExpired:
         raise AssertionError(
-            f"run_extract hung at num_cpus={num_cpus}") from None
+            f"{job} hung at num_cpus={num_cpus}") from None
     finally:
         if child.poll() is None:   # killpg also reaps the child's cluster
             os.killpg(child.pid, signal.SIGKILL)
             child.wait()
-    written = pq.read_table(out_dir, columns=["url", "status"])
-    assert sorted(written.column("url").to_pylist()) == sorted(urls)
-    assert set(written.column("status").to_pylist()) == {"ok"}
+    expected = sorted(pq.read_table(in_dir, columns=[key])
+                      .column(key).to_pylist())
+    for out in outputs:
+        written = pq.read_table(out, columns=[key, "status"])
+        assert sorted(written.column(key).to_pylist()) == expected
+        assert set(written.column("status").to_pylist()) == {"ok"}
 
 
 def test_exact_dedup_dataset(ray_session):
@@ -623,30 +645,6 @@ def test_skew_routing_single_scan_complete(ray_session, tmp_path):
     assert sorted(r["url"] for r in rows) == \
         sorted(tbl.column("url").to_pylist())
     assert out.stats().count("ReadParquet") == 1  # single scan
-
-
-def test_quarantine_write(ray_session, tmp_path):
-    import ray
-    import datetime
-    from html_parser_ray.stages.extract import extract_pages
-    from html_parser_ray.htmlcore.api import Budgets
-    from html_parser_ray.pipelines.extract import write_quarantine
-    big = b"<p>" + b"x" * 5000
-    tbl = pa.table({
-        "url": pa.array(["ok1", "bad1", "ok2"], pa.string()),
-        "warc_ts": pa.array([datetime.datetime(2024, 1, 1)] * 3,
-                            pa.timestamp("us")),
-        "html": pa.array([b"<p>a</p>", big, b"<p>b</p>"], pa.binary()),
-        "lang": pa.array(["en"] * 3, pa.string()),
-    })
-    extracted = extract_pages(ray.data.from_arrow(tbl),
-                              batch_size=2,
-                              budgets=Budgets(max_input_bytes=1000))
-    out_dir = str(tmp_path / "out")
-    write_quarantine(extracted, out_dir)
-    quarantined = ray.data.read_parquet(f"{out_dir}/_quarantine").take_all()
-    assert [r["url"] for r in quarantined] == ["bad1"]
-    assert quarantined[0]["status"] == "budget_exceeded"
 
 
 def test_minhash_mega_bucket_capped(ray_session):
