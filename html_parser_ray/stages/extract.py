@@ -55,14 +55,11 @@ class Decoder(NamedTuple):
     decode: Callable[[Any], Any]
 
 
-def _utf8(cell: bytes | str) -> str:
-    return cell if isinstance(cell, str) else cell.decode("utf-8")
-
-
 # the parsed tree of a page's html bytes, under the budgets
 HTML = Decoder("html", partial(parse_bytes, budgets=DEFAULT_BUDGETS))
-# the page's html as a string, for projections that parse it themselves
-HTML_TEXT = Decoder("html", _utf8)
+# the page's html bytes as a utf-8 string, for projections that parse it
+# themselves
+HTML_TEXT = Decoder("html", bytes.decode)
 
 
 class Projection(NamedTuple):

@@ -129,30 +129,17 @@ def test_patch_stage_applies_and_quarantines():
     good = json.dumps([{"kind": "replaceText", "target": text_id,
                         "value": "uno"}])
     bad = json.dumps([{"kind": "removeNode", "target": 424242}])
+    # the third page is not utf-8: its decode fails, not the batch
     batch = pa.table({
-        "url": pa.array(["a", "b"], pa.string()),
-        "html": pa.array([html, html], pa.string()),
-        "edits": pa.array([good, bad], pa.string()),
+        "url": pa.array(["a", "b", "c"], pa.string()),
+        "html": pa.array([html.encode(), html.encode(), b"<p>caf\xe9</p>"],
+                         pa.binary()),
+        "edits": pa.array([good, bad, good], pa.string()),
     })
     out = DocStage(PATCH, decoder=HTML_TEXT)(batch)
-    assert out.column("result").to_pylist()[0] == \
-        '<div><p class="x">uno</p></div>'
-    assert out.column("status").to_pylist() == ["ok", "plan_error"]
-    assert out.column("error").to_pylist() == \
-        ["", "PatchPlanningError: NODE_NOT_FOUND"]
-
-
-def test_patch_stage_quarantines_non_utf8_html():
-    """html bytes that are not utf-8 fail the decode: one quarantine row,
-    and the rest of the batch is still planned."""
-    edits = json.dumps([])
-    batch = pa.table({
-        "url": pa.array(["a", "b"], pa.string()),
-        "html": pa.array([b"<p>caf\xe9</p>", b"<p>ok</p>"], pa.binary()),
-        "edits": pa.array([edits, edits], pa.string()),
-    })
-    out = DocStage(PATCH, decoder=HTML_TEXT)(batch)
-    assert out.column("status").to_pylist() == ["error", "ok"]
-    assert out.column("error").to_pylist()[0].startswith(
-        "UnicodeDecodeError: ")
-    assert out.column("result").to_pylist() == ["", "<p>ok</p>"]
+    assert out.column("result").to_pylist() == \
+        ['<div><p class="x">uno</p></div>', "", ""]
+    assert out.column("status").to_pylist() == ["ok", "plan_error", "error"]
+    error = out.column("error").to_pylist()
+    assert error[:2] == ["", "PatchPlanningError: NODE_NOT_FOUND"]
+    assert error[2].startswith("UnicodeDecodeError: ")

@@ -118,15 +118,21 @@ def test_extract_links_and_host_edges(ray_session):
         b"<div hidden><a href='http://c.com/'>h</a></div>",
         # unclosed markup still parses (never quarantines the batch)
         b"<a href='//d.com/z'>tail",
+        # a page that fails to parse is one quarantine row, never dropped
+        None,
     ]
     ds = ray.data.from_arrow(pa.table({
-        "url": pa.array([f"http://a.com/d/{i}" for i in range(3)],
+        "url": pa.array([f"http://a.com/d/{i}" for i in range(4)],
                         pa.string()),
         "html": pa.array(htmls, pa.binary()),
     }))
     links = extract_links(ds, batch_size=2).take_all()
+    failed = [r for r in links if r["status"] != "ok"]
+    assert [(r["url"], r["status"]) for r in failed] == \
+        [("http://a.com/d/3", "error")]
     got = sorted((r["src_url"], r["href"], r["dst_url"]) for r in links)
     assert got == [
+        ("", "", ""),
         ("http://a.com/d/0", "/p", "http://a.com/p"),
         ("http://a.com/d/0", "http://B.com/x", "http://B.com/x"),
         ("http://a.com/d/1", "http://c.com/", "http://c.com/"),
@@ -137,7 +143,7 @@ def test_extract_links_and_host_edges(ray_session):
         extract_links(ds, batch_size=2)).take_all()
     got_e = sorted((r["src_host"], r["dst_host"], r["weight"])
                    for r in edges)
-    # B.com canonicalizes to lowercase b.com
+    # B.com canonicalizes to lowercase b.com; the failed page adds no edge
     assert got_e == [("a.com", "a.com", 1), ("a.com", "b.com", 1),
                      ("a.com", "c.com", 1), ("a.com", "d.com", 1)]
 
@@ -185,24 +191,3 @@ def test_anchor_rollup_counts(ray_session):
     assert rows == [("a.example.com", "home", 2),
                     ("b.example.com", "docs", 1)]
 
-
-def test_failed_page_is_one_link_table_row(ray_session):
-    """A page that fails to parse is one counted quarantine row in the
-    link table, not a silent drop, and the host rollups skip it."""
-    import ray
-    from html_parser_ray.functions.linkgraph import (
-        extract_links, host_edges)
-    ds = ray.data.from_arrow(pa.table({
-        "url": pa.array(["http://a.com/ok", "http://a.com/bad"],
-                        pa.string()),
-        "html": pa.array([b"<a href='http://b.com/'>b</a>", None],
-                         pa.binary()),
-    }))
-    rows = {r["url"]: r for r in extract_links(ds).take_all()}
-    assert rows["http://a.com/ok"]["status"] == "ok"
-    bad = rows["http://a.com/bad"]
-    assert bad["status"] == "error" and bad["error"]
-    assert (bad["src_url"], bad["href"], bad["dst_url"]) == ("", "", "")
-    edges = [(r["src_host"], r["dst_host"], r["weight"])
-             for r in host_edges(extract_links(ds)).take_all()]
-    assert edges == [("a.com", "b.com", 1)]

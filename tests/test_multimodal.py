@@ -114,28 +114,26 @@ def test_image_features_task_map(ray_session):
     assert set(out.column("status").to_pylist()) == {"ok"}
 
 
-@pytest.mark.parametrize("decoder,projection,torn,good", [
-    (AUDIO, AUDIO_FEATURES, b"FAKEAUD1\x01", make_audio_payload(1)),
-    (VIDEO, VIDEO_FRAMES, b"FAKEVID1\x01", make_video_payload(1)),
+@pytest.mark.parametrize("decoder,projection,bad,status,error,good", [
+    # a torn header raises struct.error in the decoder
+    (AUDIO, AUDIO_FEATURES, b"FAKEAUD1\x01", "error", "error: ",
+     make_audio_payload(1)),
+    (VIDEO, VIDEO_FRAMES, b"FAKEVID1\x01", "error", "error: ",
+     make_video_payload(1)),
+    (VIDEO, VIDEO_FRAMES, b"RIFF....AVI ", "codec_unavailable",
+     "NotImplementedError: ", make_video_payload(1)),
 ])
-def test_truncated_media_payload_quarantined(decoder, projection, torn,
-                                              good):
-    """A torn header raises struct.error in the decoder: one quarantine
-    row, and the rest of the batch still decodes."""
-    out = DocStage(projection, decoder=decoder)(_media([torn, good], "x"))
-    rows = out.to_pylist()
+def test_bad_media_payload_is_one_quarantine_row(decoder, projection, bad,
+                                                 status, error, good):
+    """A payload that fails to decode gives one quarantine row, and the
+    rest of the batch still decodes."""
+    rows = DocStage(projection, decoder=decoder)(
+        _media([bad, good], "x")).to_pylist()
     assert rows[0]["media_id"] == 0
-    assert rows[0]["status"] == "error"
-    assert rows[0]["error"].startswith("error: ")     # struct.error
+    assert rows[0]["status"] == status
+    assert rows[0]["error"].startswith(error)
     assert {r["media_id"] for r in rows[1:]} == {1}
     assert {r["status"] for r in rows[1:]} == {"ok"}
-
-
-def test_video_without_codec_gives_codec_unavailable_row():
-    out = DocStage(VIDEO_FRAMES, decoder=VIDEO)(
-        _media([b"RIFF....AVI "], "video"))
-    assert out.column("status").to_pylist() == ["codec_unavailable"]
-    assert out.column("frame_payload").to_pylist() == [b""]
 
 
 # ---------------------------------------------------------------------------
