@@ -680,9 +680,11 @@ def _link_corpus(sf_dir: str):
 
 def q_link_graph(sf_dir: str):
     """DOM-based <a href> extraction + resolution over the wrapped corpus:
-    (src_url, href, dst_url), 4 links per doc covering every href form."""
+    (src_url, href, dst_url), 4 links per doc covering every href form;
+    a page that fails to parse has no links."""
+    from html_parser_ray.stages.extract import ok_rows
     return _link_corpus(sf_dir).map_batches(
-        lambda b: b.select(["src_url", "href", "dst_url"]),
+        lambda b: ok_rows(b).select(["src_url", "href", "dst_url"]),
         batch_format="pyarrow")
 
 
@@ -1459,13 +1461,13 @@ def _media_from_documents(sf_dir: str, kind: str):
 
 def _media_features(sf_dir: str, kind: str, projection, decoder,
                     columns: list[str]):
-    """The media table of ``kind`` through a DocStage task map: payloads
-    are KB-sized cells, so 32 rows a batch."""
-    from html_parser_ray.stages.extract import DocStage
+    """The ok rows of the media table of ``kind`` through a DocStage task
+    map: payloads are KB-sized cells, so 32 rows a batch."""
+    from html_parser_ray.stages.extract import DocStage, ok_rows
     out = _media_from_documents(sf_dir, kind).map_batches(
         DocStage(projection, decoder=decoder), batch_format="pyarrow",
         batch_size=32)
-    return out.map_batches(lambda b: b.select(columns),
+    return out.map_batches(lambda b: ok_rows(b).select(columns),
                            batch_format="pyarrow")
 
 

@@ -43,7 +43,7 @@ import pyarrow.compute as pc
 
 from ..htmlcore.dom import Element, Text
 from ..htmlcore.extract import walk
-from ..stages.extract import DocStage, Projection
+from ..stages.extract import DocStage, Projection, ok_rows
 from .urls import canonicalize_url
 
 logger = logging.getLogger(__name__)
@@ -134,10 +134,6 @@ def extract_links(ds, batch_size: int = 16):
                           batch_size=batch_size)
 
 
-def _ok_rows(batch: pa.Table) -> pa.Table:
-    return batch.filter(pc.equal(batch.column("status"), "ok"))
-
-
 def host_edges(links_ds):
     """Dataset[src_url, dst_url, ...] → Dataset[src_host, dst_host,
     weight] — host-level edge list with parallel-edge counts of the
@@ -146,7 +142,7 @@ def host_edges(links_ds):
     from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
-        batch = _ok_rows(batch)
+        batch = ok_rows(batch)
         srcs = batch.column("src_url").to_pylist()
         dsts = batch.column("dst_url").to_pylist()
         counts: dict[tuple[str, str], int] = {}
@@ -166,9 +162,9 @@ def host_edges(links_ds):
 
 def anchor_rollup(links_ds):
     """Dataset[dst_url, anchor, status, ...] → Dataset[(dst_host, anchor,
-    n_links)] over the ``status == "ok"`` rows — anchor-term frequency per target host, the classic
-    relevance/description signal for a crawled page (anchor text of
-    in-links describes the TARGET).
+    n_links)] over the ``status == "ok"`` rows — anchor-term frequency per
+    target host, the classic relevance/description signal for a crawled
+    page (anchor text of in-links describes the TARGET).
 
     Same partial-combine idiom as host_edges: per-batch dict combine so
     only (host, anchor, count) rows shuffle — in-link anchor sets are
@@ -177,7 +173,7 @@ def anchor_rollup(links_ds):
     from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
-        batch = _ok_rows(batch)
+        batch = ok_rows(batch)
         dsts = batch.column("dst_url").to_pylist()
         anchors = batch.column("anchor").to_pylist()
         counts: dict[tuple[str, str], int] = {}

@@ -41,4 +41,3 @@ def read_jsonl(paths, *, schema: dict[str, pa.DataType] | None = None,
         return pa.table(dict(zip(schema.keys(), cols)), schema=target)
 
     return ds.map_batches(pin, batch_format="pyarrow")
-

@@ -30,6 +30,7 @@ from functools import partial
 from typing import Any, NamedTuple
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..htmlcore.api import parse_bytes, Budgets, BudgetExceededError
 from ..htmlcore.boilerplate import classify_blocks, segment_blocks
@@ -57,9 +58,15 @@ class Decoder(NamedTuple):
 
 # the parsed tree of a page's html bytes, under the budgets
 HTML = Decoder("html", partial(parse_bytes, budgets=DEFAULT_BUDGETS))
-# the page's html bytes as a utf-8 string, for projections that parse it
-# themselves
-HTML_TEXT = Decoder("html", bytes.decode)
+
+
+def _utf8_text(html: str | bytes) -> str:
+    return html.decode("utf-8") if isinstance(html, bytes) else html
+
+
+# the page's html as a string (a binary cell is utf-8 decoded, a string
+# cell is taken as is), for projections that parse it themselves
+HTML_TEXT = Decoder("html", _utf8_text)
 
 
 class Projection(NamedTuple):
@@ -251,6 +258,11 @@ class DocStage:
         out["status"] = pa.array(status, _S)
         out["error"] = pa.array(error, _S)
         return pa.table(out)
+
+
+def ok_rows(batch: pa.Table) -> pa.Table:
+    """The rows of a DocStage output batch whose document did not fail."""
+    return batch.filter(pc.equal(batch.column("status"), "ok"))
 
 
 def extract_pages(ds, *, batch_size: int = 16):

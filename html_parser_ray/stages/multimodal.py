@@ -288,6 +288,9 @@ IMAGE = Decoder("payload", _decode_image)
 AUDIO = Decoder("payload", _decode_audio)
 VIDEO = Decoder("payload", _decode_video)
 
+RESIZE = 16  # IMAGE_RESIZE output width and height
+FRAME_STRIDE = 4  # VIDEO_FRAMES samples every FRAME_STRIDE-th frame
+
 
 def _image_features(image) -> list[dict]:
     w, h, c, arr = image
@@ -307,18 +310,16 @@ def _image_features(image) -> list[dict]:
              "phash": phash & ((1 << 63) - 1)}]
 
 
-def _image_resize(image, target_width: int = 16,
-                  target_height: int = 16) -> list[dict]:
-    # nearest-neighbor, re-encoded as FAKEIMG1 (a real deployment swaps
-    # the codec call only)
+def _image_resize(image) -> list[dict]:
+    # nearest-neighbor to RESIZE x RESIZE, re-encoded as FAKEIMG1 (a real
+    # deployment swaps the codec call only)
     w, h, c, arr = image
-    ys = np.linspace(0, h - 1, target_height).astype(int)
-    xs = np.linspace(0, w - 1, target_width).astype(int)
+    ys = np.linspace(0, h - 1, RESIZE).astype(int)
+    xs = np.linspace(0, w - 1, RESIZE).astype(int)
     small = arr[np.ix_(ys, xs)]
-    return [{"payload": b"FAKEIMG1"
-             + struct.pack("<HHB", target_width, target_height, c)
+    return [{"payload": b"FAKEIMG1" + struct.pack("<HHB", RESIZE, RESIZE, c)
              + small.tobytes(),
-             "width": target_width, "height": target_height}]
+             "width": RESIZE, "height": RESIZE}]
 
 
 def _audio_features(audio) -> list[dict]:
@@ -331,14 +332,14 @@ def _audio_features(audio) -> list[dict]:
              "rms_bp": int(round(rms * 10_000)), "zero_crossings": zc}]
 
 
-def _video_frames(video, stride: int = 4) -> list[dict]:
-    # every ``stride``-th frame, re-encoded as a FAKEIMG1 payload
+def _video_frames(video) -> list[dict]:
+    # every FRAME_STRIDE-th frame, re-encoded as a FAKEIMG1 payload
     w, h, n_frames, data = video
     frame_size = w * h
     return [{"frame_index": i,
              "frame_payload": b"FAKEIMG1" + struct.pack("<HHB", w, h, 1)
              + data[i * frame_size:(i + 1) * frame_size]}
-            for i in range(0, n_frames, stride)]
+            for i in range(0, n_frames, FRAME_STRIDE)]
 
 
 _I = pa.int64()
@@ -347,7 +348,6 @@ IMAGE_FEATURES = Projection(pa.schema({
     "width": _I, "height": _I, "channels": _I, "mean_luma_bp": _I,
     "phash": _I,
 }), _image_features)
-# other sizes: IMAGE_RESIZE._replace(rows=partial(_image_resize, ...))
 IMAGE_RESIZE = Projection(pa.schema({
     "payload": pa.binary(), "width": _I, "height": _I,
 }), _image_resize)

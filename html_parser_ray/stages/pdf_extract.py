@@ -17,7 +17,6 @@ from ..pdfcore import layout_text, pdf_layout_blocks
 from .extract import Decoder, DocStage, Projection
 
 
-
 def _pdf_text(blocks) -> list[dict]:
     return [{"pdf_text": layout_text(blocks), "n_runs": len(blocks)}]
 

@@ -129,17 +129,24 @@ def test_patch_stage_applies_and_quarantines():
     good = json.dumps([{"kind": "replaceText", "target": text_id,
                         "value": "uno"}])
     bad = json.dumps([{"kind": "removeNode", "target": 424242}])
-    # the third page is not utf-8: its decode fails, not the batch
-    batch = pa.table({
-        "url": pa.array(["a", "b", "c"], pa.string()),
-        "html": pa.array([html.encode(), html.encode(), b"<p>caf\xe9</p>"],
-                         pa.binary()),
-        "edits": pa.array([good, bad, good], pa.string()),
-    })
-    out = DocStage(PATCH, decoder=HTML_TEXT)(batch)
-    assert out.column("result").to_pylist() == \
-        ['<div><p class="x">uno</p></div>', "", ""]
-    assert out.column("status").to_pylist() == ["ok", "plan_error", "error"]
-    error = out.column("error").to_pylist()
-    assert error[:2] == ["", "PatchPlanningError: NODE_NOT_FOUND"]
-    assert error[2].startswith("UnicodeDecodeError: ")
+    # the html column may be string or binary; the binary batch has a
+    # third page that is not utf-8, whose decode fails, not the batch
+    for html_type, htmls in [
+            (pa.string(), [html, html]),
+            (pa.binary(), [html.encode(), html.encode(),
+                           b"<p>caf\xe9</p>"])]:
+        n = len(htmls)
+        batch = pa.table({
+            "url": pa.array(["a", "b", "c"][:n], pa.string()),
+            "html": pa.array(htmls, html_type),
+            "edits": pa.array([good, bad, good][:n], pa.string()),
+        })
+        out = DocStage(PATCH, decoder=HTML_TEXT)(batch)
+        assert out.column("result").to_pylist() == \
+            ['<div><p class="x">uno</p></div>', "", ""][:n]
+        assert out.column("status").to_pylist() == \
+            ["ok", "plan_error", "error"][:n]
+        error = out.column("error").to_pylist()
+        assert error[:2] == ["", "PatchPlanningError: NODE_NOT_FOUND"]
+        if n == 3:
+            assert error[2].startswith("UnicodeDecodeError: ")

@@ -190,4 +190,3 @@ def test_anchor_rollup_counts(ray_session):
                   anchor_rollup(ray.data.from_arrow(tbl)).take_all())
     assert rows == [("a.example.com", "home", 2),
                     ("b.example.com", "docs", 1)]
-

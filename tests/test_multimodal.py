@@ -2,8 +2,6 @@
 frame-sample projections on DocStage (codec boundary stubbed, Ray
 plumbing real)."""
 
-from functools import partial
-
 import pyarrow as pa
 import pytest
 
@@ -11,7 +9,7 @@ from html_parser_ray.stages.extract import DocStage
 from html_parser_ray.stages.multimodal import (
     AUDIO, AUDIO_FEATURES, IMAGE, IMAGE_FEATURES, IMAGE_RESIZE, VIDEO,
     VIDEO_FRAMES, MEDIA_SCHEMA, make_audio_payload, make_video_payload,
-    media_table, _decode_image, _image_resize,
+    media_table, _decode_image,
 )
 
 image_features = DocStage(IMAGE_FEATURES, decoder=IMAGE)
@@ -60,12 +58,11 @@ def test_image_features_determinism_and_phash_stability():
 def test_image_resize_roundtrip():
     tbl = media_table(9).filter(
         pa.compute.equal(pa.compute.field("kind"), "image"))
-    out = DocStage(IMAGE_RESIZE._replace(rows=partial(
-        _image_resize, target_width=8, target_height=8)), decoder=IMAGE)(tbl)
+    out = DocStage(IMAGE_RESIZE, decoder=IMAGE)(tbl)
     assert set(out.column("status").to_pylist()) == {"ok"}
     for payload in out.column("payload").to_pylist():
         w, h, c, arr = _decode_image(payload)
-        assert (w, h) == (8, 8) and arr.shape == (8, 8, c)
+        assert (w, h) == (16, 16) and arr.shape == (16, 16, c)
 
 
 def test_unknown_codec_quarantined_not_raised():
