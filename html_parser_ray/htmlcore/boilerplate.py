@@ -10,9 +10,10 @@ public):
    attributed to its NEAREST block-level ancestor (``BLOCK_TAGS``; the
    body acts as the block for stray inline text). Blocks are emitted in
    document order with their normalized text, the tag path from the root,
-   and the number of characters that sit under an ``<a>`` descendant.
-   Invisible subtrees (script/style/template, hidden attributes) are
-   skipped with the same rules as visibleText.
+   whether that path crosses ``CHROME_TAGS``, and the number of
+   characters that sit under an ``<a>`` descendant. Invisible subtrees
+   (script/style/template, hidden attributes) are skipped with the same
+   rules as visibleText.
 2. **Score**:
    - a block whose tag path crosses ``CHROME_TAGS`` (nav / header /
      footer / aside / form / menu) is boilerplate, regardless of length;
@@ -25,6 +26,15 @@ public):
      content blocks is promoted (caption / single-sentence paragraphs).
 3. **Emit**: content blocks joined with blank lines.
 
+Cost: linear in the size of the tree. The walk visits each node once,
+carries the chrome and link context down instead of re-reading the path,
+and reads an element's attributes only when it has any. A block collects
+its raw text runs and its text is normalized once, after the walk.
+Classification is two passes over the blocks, linear in their number
+however long the runs of headings or short blocks are: right to left it
+scores each block and resolves heading promotion and each short block's
+next non-short neighbour; left to right it smooths the short blocks.
+
 This module is the per-document kernel; the Ray stage wiring is the
 ``MAIN_CONTENT`` projection of ``DocStage`` in ``stages/extract.py``. No
 counterpart exists in the reference repo (it stops at visibleText —
@@ -34,11 +44,10 @@ literature instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .dom import HTML_NS, Element, Text
-from .extract import (VisibleTextOptions, _collapse_ws, _is_hidden,
-                      _normalize_newlines)
+from .extract import VisibleTextOptions, _collapse_ws, _is_hidden
 
 BLOCK_TAGS = frozenset("""
 address article aside blockquote caption dd details dialog dir div dl dt
@@ -56,133 +65,119 @@ _SKIP_TAGS = frozenset(["script", "style", "template", "noscript", "iframe",
                         "object", "embed", "select", "datalist"])
 
 
-@dataclass
+@dataclass(slots=True)
 class Block:
     tag: str                      # block element tag name
     path: tuple[str, ...]         # tag names root → block element
-    parts: list[str] = field(default_factory=list)
-    link_chars: int = 0
+    text: str = ""                # normalized text, set once after the walk
+    link_chars: int = 0           # characters of text under an <a>
+    in_chrome: bool = False       # path crosses CHROME_TAGS
     is_content: bool = False      # set by classify_blocks
-
-    @property
-    def text(self) -> str:
-        return _collapse_ws(" ".join(p for p in self.parts if p)).strip()
-
-    @property
-    def chars(self) -> int:
-        return len(self.text)
-
-    @property
-    def words(self) -> int:
-        t = self.text
-        return len(t.split()) if t else 0
-
-    @property
-    def link_density_bp(self) -> int:
-        c = self.chars
-        return 10_000 if c == 0 else min(10_000,
-                                         (self.link_chars * 10_000) // c)
-
-    @property
-    def in_chrome(self) -> bool:
-        return any(p in CHROME_TAGS for p in self.path)
 
 
 def segment_blocks(root, options: VisibleTextOptions = VisibleTextOptions()
                    ) -> list[Block]:
     """Element tree → document-order text blocks (empty blocks dropped)."""
-    blocks: list[Block] = []
-    order: list[Block] = []
+    order: list[tuple[Block, list[str]]] = []
+    path: list[str] = []
+    skip_hidden = options.skip_hidden_subtrees
 
-    def walk(children: list, path: tuple[str, ...], cur: Block | None,
-             link_depth: int) -> None:
+    def walk(children: list, cur: Block | None, parts: list[str],
+             in_link: bool, in_chrome: bool) -> None:
         for child in children:
             if type(child) is Text:
-                value = _collapse_ws(_normalize_newlines(child.value))
+                # raw values: the block's text is normalized once, below
+                value = child.value
                 if value and cur is not None:
-                    cur.parts.append(value)
-                    if link_depth > 0:
-                        cur.link_chars += len(value.strip())
+                    parts.append(value)
+                    if in_link:
+                        cur.link_chars += len(_collapse_ws(value).strip())
                 continue
             if not isinstance(child, Element):
                 continue
-            name = child.name.lower() if child.ns == HTML_NS else child.name
-            if child.ns == HTML_NS and name in _SKIP_TAGS:
+            inner = child.template_content
+            if inner is None:
+                inner = child.children
+            if not inner:  # no text below it
                 continue
-            if _is_hidden(child, options):
+            html = child.ns == HTML_NS
+            name = child.name.lower() if html else child.name
+            if html and name in _SKIP_TAGS:
                 continue
-            kid_path = path + (name,)
-            inner = (child.template_content
-                     if child.template_content is not None
-                     else child.children)
-            if child.ns == HTML_NS and name in BLOCK_TAGS:
-                nxt = Block(tag=name, path=kid_path)
-                order.append(nxt)
-                walk(inner, kid_path, nxt, link_depth)
+            if skip_hidden and child.attrs and _is_hidden(child, options):
+                continue
+            path.append(name)
+            chrome = in_chrome or name in CHROME_TAGS
+            if html and name in BLOCK_TAGS:
+                block = Block(name, tuple(path), "", 0, chrome)
+                kid_parts: list[str] = []
+                order.append((block, kid_parts))
+                walk(inner, block, kid_parts, in_link, chrome)
             else:
-                walk(inner, kid_path, cur,
-                     link_depth + (1 if (child.ns == HTML_NS
-                                         and name == "a") else 0))
+                walk(inner, cur, parts, in_link or (html and name == "a"),
+                     chrome)
+            path.pop()
 
-    walk(getattr(root, "children", []), (), None, 0)
-    for b in order:
-        if b.text:
-            blocks.append(b)
+    walk(getattr(root, "children", []), None, [], False, False)
+    blocks: list[Block] = []
+    for block, parts in order:
+        # collapsing the joined raw runs equals joining the collapsed runs
+        # and collapsing again (CR/LF are whitespace to _collapse_ws)
+        text = _collapse_ws(" ".join(parts)).strip()
+        if text:
+            block.text = text
+            blocks.append(block)
     return blocks
 
 
 def classify_blocks(blocks: list[Block], *, min_words: int = 5,
                     max_link_density_bp: int = 5_000) -> list[Block]:
     """Mark each block's ``is_content`` in place and return the list."""
-    n = len(blocks)
-    # pass 1: context / density / length rules (headings deferred)
-    base: list[str] = []  # "good" | "bad" | "heading" | "short"
-    for b in blocks:
-        if b.in_chrome:
-            base.append("bad")
-        elif b.link_density_bp >= max_link_density_bp:
-            base.append("bad")
+    # right to left: the scoring rules, heading promotion against the
+    # nearest non-heading block after, and, for each short block, whether
+    # the nearest non-short block after it is content
+    short_right: list[bool | None] = [None] * len(blocks)
+    after_good = False   # the nearest non-heading block after is content
+    right_good = False   # the nearest non-short block after is content
+    for i in range(len(blocks) - 1, -1, -1):
+        b = blocks[i]
+        chars = len(b.text)
+        density_bp = (10_000 if chars == 0
+                      else min(10_000, (b.link_chars * 10_000) // chars))
+        if b.in_chrome or density_bp >= max_link_density_bp:
+            good = after_good = False
         elif b.tag in HEADING_TAGS:
-            base.append("heading")
-        elif b.words >= min_words:
-            base.append("good")
+            good = after_good
+        # words >= min_words, splitting off no more than min_words words
+        elif len(b.text.split(None, min_words - 1)) >= min_words:
+            good = after_good = True
         else:
-            base.append("short")
-    # pass 2: heading promotion — a heading is good iff the next
-    # non-heading block is good (resolved right-to-left so heading runs
-    # chain to the first real block after them)
-    resolved = list(base)
-    for i in range(n - 1, -1, -1):
-        if base[i] != "heading":
+            after_good = False
+            short_right[i] = right_good
             continue
-        nxt = "bad"
-        for j in range(i + 1, n):
-            if base[j] != "heading":
-                nxt = resolved[j]
-                break
-        resolved[i] = "good" if nxt == "good" else "bad"
-    # pass 3: smoothing — short blocks between two content neighbours
-    final = list(resolved)
-    for i, cls in enumerate(resolved):
-        if cls != "short":
-            final[i] = cls
-            continue
-        prev_good = False
-        for j in range(i - 1, -1, -1):
-            if resolved[j] == "short":
-                continue
-            prev_good = resolved[j] == "good"
-            break
-        nxt_good = False
-        for j in range(i + 1, n):
-            if resolved[j] == "short":
-                continue
-            nxt_good = resolved[j] == "good"
-            break
-        final[i] = "good" if (prev_good and nxt_good) else "bad"
-    for b, cls in zip(blocks, final):
-        b.is_content = cls == "good"
+        b.is_content = right_good = good
+    # left to right, smoothing: a short block is content iff the nearest
+    # non-short blocks on both sides are
+    left_good = False
+    for b, right in zip(blocks, short_right):
+        if right is None:
+            left_good = b.is_content
+        else:
+            b.is_content = left_good and right
     return blocks
+
+
+def main_content_and_counts(
+        root, *, min_words: int = 5, max_link_density_bp: int = 5_000,
+        options: VisibleTextOptions = VisibleTextOptions()
+) -> tuple[str, int, int]:
+    """Parsed tree → (main-content text, blocks, content blocks); the text
+    is the content blocks joined by blank lines."""
+    blocks = classify_blocks(
+        segment_blocks(root, options), min_words=min_words,
+        max_link_density_bp=max_link_density_bp)
+    content = [b.text for b in blocks if b.is_content]
+    return "\n\n".join(content), len(blocks), len(content)
 
 
 def main_content(root, *, min_words: int = 5,
@@ -190,7 +185,6 @@ def main_content(root, *, min_words: int = 5,
                  options: VisibleTextOptions = VisibleTextOptions()) -> str:
     """Parsed tree → main-content text (content blocks joined by blank
     lines)."""
-    blocks = classify_blocks(
-        segment_blocks(root, options), min_words=min_words,
-        max_link_density_bp=max_link_density_bp)
-    return "\n\n".join(b.text for b in blocks if b.is_content)
+    return main_content_and_counts(
+        root, min_words=min_words, max_link_density_bp=max_link_density_bp,
+        options=options)[0]

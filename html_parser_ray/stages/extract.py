@@ -33,7 +33,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..htmlcore.api import parse_bytes, Budgets, BudgetExceededError
-from ..htmlcore.boilerplate import classify_blocks, segment_blocks
+from ..htmlcore.boilerplate import main_content_and_counts
 from ..htmlcore.extract import (
     chunk, outline, serialize, text_content, visible_text,
     visible_text_tokens_with_provenance,
@@ -92,10 +92,9 @@ def _visible_text(tree) -> list[dict]:
 def _main_content(tree) -> list[dict]:
     # boilerplate classification (htmlcore/boilerplate.py) with the
     # kernel's default thresholds
-    blocks = classify_blocks(segment_blocks(tree))
-    content = [b.text for b in blocks if b.is_content]
-    return [{"main_text": "\n\n".join(content), "n_blocks": len(blocks),
-             "n_content_blocks": len(content)}]
+    main_text, n_blocks, n_content = main_content_and_counts(tree)
+    return [{"main_text": main_text, "n_blocks": n_blocks,
+             "n_content_blocks": n_content}]
 
 
 def _outline(tree) -> list[dict]:

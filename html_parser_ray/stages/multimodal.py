@@ -266,7 +266,10 @@ def _decode_image(payload: bytes) -> tuple[int, int, int, np.ndarray]:
 
 def _decode_audio(payload: bytes) -> tuple[int, np.ndarray]:
     if payload.startswith(b"FAKEAUD1"):
+        if len(payload) < 16:
+            raise ValueError(f"torn FAKEAUD1 header: {len(payload)} bytes")
         sample_rate, n_samples = struct.unpack_from("<II", payload, 8)
+        # (np.frombuffer raises ValueError on truncated sample data)
         samples = np.frombuffer(payload, dtype="<i2", offset=16,
                                 count=n_samples)
         return sample_rate, samples
@@ -275,8 +278,15 @@ def _decode_audio(payload: bytes) -> tuple[int, np.ndarray]:
 
 def _decode_video(payload: bytes) -> tuple[int, int, int, bytes]:
     if payload.startswith(b"FAKEVID1"):
+        if len(payload) < 14:
+            raise ValueError(f"torn FAKEVID1 header: {len(payload)} bytes")
         width, height, n_frames = struct.unpack_from("<HHH", payload, 8)
-        return width, height, n_frames, payload[14:]
+        frames = payload[14:]
+        if len(frames) < width * height * n_frames:
+            raise ValueError(
+                f"truncated FAKEVID1 frames: {len(frames)} bytes for "
+                f"{n_frames} frames of {width}x{height}")
+        return width, height, n_frames, frames
     raise NotImplementedError("real video codecs unavailable; FAKEVID1 only")
 
 

@@ -3,15 +3,66 @@
 Rules under test (htmlcore/boilerplate.py — jusText/boilerpipe-family
 heuristics, no reference counterpart): block segmentation to the nearest
 block ancestor, link-density threshold, chrome tag-path context, heading
-promotion, short-block smoothing, invisible-subtree skip.
+promotion, short-block smoothing, invisible-subtree skip. The
+main-content golden pins the kernel's output on synthetic pages and on long
+runs of headings and short blocks; the linear-time test bounds its cost on
+those runs by the cost of the parse.
 """
 
-import pyarrow as pa
+import hashlib
+import json
+import pathlib
+import time
 
-from html_parser_ray.htmlcore.api import parse
+import pyarrow as pa
+import pytest
+
+from html_parser_ray.htmlcore.api import parse, parse_bytes
 from html_parser_ray.htmlcore.boilerplate import (classify_blocks,
                                                   main_content,
+                                                  main_content_and_counts,
                                                   segment_blocks)
+from html_parser_ray.sources.synth import make_table
+from html_parser_ray.stages.extract import DEFAULT_BUDGETS
+
+# sha256 per case of the (main_text, n_blocks, n_content_blocks) rows
+_GOLDENS = (pathlib.Path(__file__).parent / "fixtures"
+            / "main_content_goldens.json")
+_LONG = "<p>a long paragraph with plenty of words to be content</p>"
+# long runs of headings and short blocks, 16,000 blocks each
+_SHAPES = {
+    "short_paragraphs": _LONG + "<p>Tiny.</p>" * 16_000 + _LONG,
+    "headings": "<h2>Tiny.</h2>" * 16_000 + _LONG,
+    # heading runs promoted by the paragraph after them, short runs
+    # smoothed between two paragraphs
+    "mixed_runs": (_LONG + "<h3>Head.</h3>" * 800 + _LONG
+                   + "<p>Tiny.</p>" * 1_200) * 8 + _LONG,
+}
+_SYNTH = [(seed, scale) for seed in (7, 11, 301, 721, 9001)
+         for scale in (1, 32)]
+
+
+def _case_htmls(case: str) -> list[bytes]:
+    """The pages of a golden case: ``synth-<seed>-x<scale>`` or
+    ``shape-<name>``."""
+    kind, _, arg = case.partition("-")
+    if kind == "shape":
+        return [_SHAPES[arg].encode()]
+    seed, _, scale = arg.partition("-x")
+    n_rows = 60 if scale == "1" else 24
+    return make_table(n_rows, int(seed),
+                      size_scale=int(scale)).column("html").to_pylist()
+
+
+def _digest(rows) -> str:
+    h = hashlib.sha256()
+    for row in rows:
+        h.update(json.dumps(list(row), ensure_ascii=False).encode() + b"\n")
+    return h.hexdigest()
+
+
+def _row(html: bytes):
+    return main_content_and_counts(parse_bytes(html, budgets=DEFAULT_BUDGETS))
 
 
 def _blocks(html, **kw):
@@ -112,3 +163,30 @@ def test_main_content_stage_quarantines_and_counts(ray_session):
     assert rows["u1"]["main_text"].startswith("good page")
     assert rows["u2"]["main_text"] == ""
     assert rows["u2"]["n_content_blocks"] == 0
+
+
+@pytest.mark.parametrize("case", [f"synth-{seed}-x{scale}"
+                                  for seed, scale in _SYNTH]
+                         + [f"shape-{name}" for name in _SHAPES])
+def test_main_content_golden(case):
+    golden = json.loads(_GOLDENS.read_text())
+    assert _digest(_row(html) for html in _case_htmls(case)) == golden[case]
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_classify_is_linear_in_blocks(shape):
+    """Segmenting and classifying a page of 16,000 short blocks costs no
+    more than parsing it; a classifier that rescans each run of headings
+    or short blocks per block takes 2-35x the parse on these pages. Their
+    output is pinned by the ``shape-*`` cases of the golden above."""
+    html = _SHAPES[shape].encode()
+    parse_s = classify_s = float("inf")
+    for _ in range(3):  # best of three: a shared host is noisy
+        t0 = time.perf_counter()
+        tree = parse_bytes(html, budgets=DEFAULT_BUDGETS)
+        t1 = time.perf_counter()
+        classify_blocks(segment_blocks(tree))
+        t2 = time.perf_counter()
+        parse_s = min(parse_s, t1 - t0)
+        classify_s = min(classify_s, t2 - t1)
+    assert classify_s <= parse_s

@@ -112,11 +112,13 @@ def test_image_features_task_map(ray_session):
 
 
 @pytest.mark.parametrize("decoder,projection,bad,status,error,good", [
-    # a torn header raises struct.error in the decoder
-    (AUDIO, AUDIO_FEATURES, b"FAKEAUD1\x01", "error", "error: ",
+    # a torn header or cut frame data raises ValueError in the decoder
+    (AUDIO, AUDIO_FEATURES, b"FAKEAUD1\x01", "error", "ValueError: ",
      make_audio_payload(1)),
-    (VIDEO, VIDEO_FRAMES, b"FAKEVID1\x01", "error", "error: ",
+    (VIDEO, VIDEO_FRAMES, b"FAKEVID1\x01", "error", "ValueError: ",
      make_video_payload(1)),
+    (VIDEO, VIDEO_FRAMES, make_video_payload(1)[:14 + 2 * 32 * 24 + 10],
+     "error", "ValueError: truncated FAKEVID1 frames", make_video_payload(1)),
     (VIDEO, VIDEO_FRAMES, b"RIFF....AVI ", "codec_unavailable",
      "NotImplementedError: ", make_video_payload(1)),
 ])
