@@ -117,10 +117,10 @@ def test_image_features_task_map(ray_session):
      make_audio_payload(1)),
     (VIDEO, VIDEO_FRAMES, b"FAKEVID1\x01", "error", "ValueError: ",
      make_video_payload(1)),
-    (VIDEO, VIDEO_FRAMES, make_video_payload(1)[:14 + 2 * 32 * 24 + 10],
-     "error", "ValueError: truncated FAKEVID1 frames", make_video_payload(1)),
     (VIDEO, VIDEO_FRAMES, b"RIFF....AVI ", "codec_unavailable",
      "NotImplementedError: ", make_video_payload(1)),
+    (VIDEO, VIDEO_FRAMES, make_video_payload(1)[:14 + 2 * 32 * 24 + 10],
+     "error", "ValueError: truncated FAKEVID1 frames", make_video_payload(1)),
 ])
 def test_bad_media_payload_is_one_quarantine_row(decoder, projection, bad,
                                                  status, error, good):
