@@ -34,24 +34,26 @@ def read_pages(sf_dir_or_path, columns: list[str] | None = None,
 # url-hash partitioning (north rule): deterministic lineage key
 
 def add_url_bucket(ds, n_buckets: int = 64):
-    """Append part = hash(url) % n_buckets (deterministic, shuffle-free).
+    """Append part = crc32(url) % n_buckets as an int32 column
+    (deterministic, shuffle-free) and sort each output batch by it.
 
-    Each output batch is one contiguous record batch. Ray Data hands the
-    map the stage's small outputs concatenated but not merged, and
-    ``write_parquet(partition_cols=...)`` writes every chunk's slice of
-    every bucket as its own row group (about one row per row group on
-    small pages). Combined, a task writes one row group per ``part=K``
-    file, so a job writes at most tasks × buckets files of one row group
-    each. The copy is one Ray block, which Ray Data splits near its
-    128 MiB target block size, so 32-bit string offsets cannot
-    overflow."""
+    Each output batch is one contiguous record batch sorted by ``part``,
+    so the write puts it in one file of one row group in which every
+    bucket is a contiguous row range. Ray Data hands the map the stage's
+    small outputs concatenated but not merged, and unmerged, each chunk
+    would be its own row group (about one row each on small pages). The
+    sort is a per-batch ``Table.sort_by`` inside the fused task, not a
+    Ray sort, so no exchange enters the plan. The copy is one Ray block,
+    which Ray Data splits near its 128 MiB target block size, so 32-bit
+    string offsets cannot overflow."""
     import zlib
 
     def bucketize(batch: pa.Table) -> pa.Table:
         urls = batch.column("url").to_pylist()
         part = [zlib.crc32(u.encode()) % n_buckets for u in urls]
-        return batch.combine_chunks().append_column(
-            "part", pa.array(part, pa.int32()))
+        # the sort's take also merges the chunks into one record batch
+        return batch.append_column(
+            "part", pa.array(part, pa.int32())).sort_by("part")
 
     return ds.map_batches(bucketize, batch_format="pyarrow")
 
@@ -73,14 +75,15 @@ def _shard_filenames(shard_id: str):
 
 def write_extracted(extracted_ds, out_dir: str, n_buckets: int = 64,
                     shard_id: str | None = None):
-    """Partitioned output: out_dir/part=K/*.parquet, file names tagged
+    """Url-bucketed output: ``out_dir/*.parquet``, file names tagged
     ``shard-<shard_id>_`` when a shard id is given.
 
-    Each write task puts one file with one row group in every bucket it
-    has rows for (``add_url_bucket``), so a job writes at most
-    tasks × n_buckets files."""
+    Each write task writes one file with one row group, its rows sorted
+    by the int32 ``part`` column (``add_url_bucket``), so a job writes at
+    most as many files as write tasks. Bucket K is
+    ``pq.read_table(out_dir, filters=[("part", "=", K)])``."""
     ds = add_url_bucket(extracted_ds, n_buckets)
-    ds.write_parquet(out_dir, partition_cols=["part"],
+    ds.write_parquet(out_dir,
                      filename_provider=(None if shard_id is None
                                         else _shard_filenames(shard_id)))
 
@@ -133,14 +136,19 @@ def _list_parquet_files(filesystem, path: str) -> list[str]:
 
 
 def _remove_shard_output(filesystem, out_dir: str, shard_ids) -> None:
-    """Delete ``part=*/shard-<id>_*`` for the given shards: what an
-    interrupted attempt at them left. Other shards' files stay."""
+    """Delete ``out_dir/shard-<id>_*`` for the given shards: what an
+    interrupted attempt at them left. Other shards' files stay. An
+    ``out_dir`` holding ``part=K/`` directories raises ValueError:
+    resuming into it would mix the two layouts."""
     for info in filesystem.get_file_info(
-            pafs.FileSelector(out_dir, recursive=True, allow_not_found=True)):
-        rel = posixpath.relpath(info.path, out_dir).split("/")
-        if (len(rel) == 2 and rel[0].startswith("part=")
-                and rel[1].startswith("shard-")
-                and rel[1][len("shard-"):].split("_", 1)[0] in shard_ids):
+            pafs.FileSelector(out_dir, allow_not_found=True)):
+        name = posixpath.basename(info.path)
+        if name.startswith("part="):
+            raise ValueError(
+                f"{out_dir} holds the old part=K/ layout ({name}); "
+                "write to a fresh out_dir")
+        if (name.startswith("shard-")
+                and name[len("shard-"):].split("_", 1)[0] in shard_ids):
             filesystem.delete_file(info.path)
 
 
@@ -167,20 +175,25 @@ def _shards_in_flight(files_per_shard: int) -> int:
 def run_extract(input_path: str, out_dir: str, *, concurrency=None,
                 batch_size: int = 16, n_buckets: int = 64,
                 files_per_shard: int = 16) -> dict:
-    """Flagship job: read → extract (skew-routed) → partitioned write,
+    """Flagship job: read → extract (skew-routed) → url-bucketed write,
     streamed as one fused task operator after the read, once per shard of
     ``files_per_shard`` sorted input files. Both paths may be local or
     pyarrow URIs (``file://``, ``s3://``, ``gs://``).
 
     Re-submitting the same job resumes it: shards with a done manifest
     entry are skipped, and every other shard first loses the files an
-    interrupted attempt left (``part=*/shard-<id>_*``). A done shard whose
+    interrupted attempt left (``shard-<id>_*``). A done shard whose
     recorded files differ from the ones it holds now, or that the input no
     longer has, raises ValueError. Pending shards run a few at a time
     (``_shards_in_flight``), and each is marked done when its write ends.
     Doc counts come from the input footers, as DocStage writes one row
     per page, failed pages included. Returns the manifest's counters
     summed over all shards.
+
+    Each write task writes one file, ``out_dir/shard-<id>_*.parquet``,
+    of one row group sorted by the int32 ``part`` column
+    (``write_extracted``); bucket K is
+    ``pq.read_table(out_dir, filters=[("part", "=", K)])``.
 
     ``concurrency`` is accepted and ignored: existing callers
     (``perfbench`` among them) still pass a pool size, and honouring it as
@@ -254,12 +267,12 @@ def _main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m html_parser_ray.pipelines.extract",
         description="Streaming HTML extraction: pages parquet -> "
-                    "url-hash-partitioned extracted parquet; re-running "
+                    "url-hash-bucketed extracted parquet; re-running "
                     "into the same out_dir resumes the job")
     parser.add_argument("input_path", help="pages parquet dir/file")
     parser.add_argument("out_dir", help="output directory")
     parser.add_argument("--buckets", type=int, default=64,
-                        help="url-hash output partitions (default 64)")
+                        help="url-hash buckets, the part column (default 64)")
     parser.add_argument("--batch-size", type=int, default=16)
     args = parser.parse_args(argv)
 

@@ -269,6 +269,8 @@ def _decode_audio(payload: bytes) -> tuple[int, np.ndarray]:
         if len(payload) < 16:
             raise ValueError(f"torn FAKEAUD1 header: {len(payload)} bytes")
         sample_rate, n_samples = struct.unpack_from("<II", payload, 8)
+        if sample_rate == 0:   # the features divide by it
+            raise ValueError("FAKEAUD1 sample_rate is 0")
         # (np.frombuffer raises ValueError on truncated sample data)
         samples = np.frombuffer(payload, dtype="<i2", offset=16,
                                 count=n_samples)

@@ -2,6 +2,8 @@
 frame-sample projections on DocStage (codec boundary stubbed, Ray
 plumbing real)."""
 
+import struct
+
 import pyarrow as pa
 import pytest
 
@@ -121,6 +123,8 @@ def test_image_features_task_map(ray_session):
      "NotImplementedError: ", make_video_payload(1)),
     (VIDEO, VIDEO_FRAMES, make_video_payload(1)[:14 + 2 * 32 * 24 + 10],
      "error", "ValueError: truncated FAKEVID1 frames", make_video_payload(1)),
+    (AUDIO, AUDIO_FEATURES, b"FAKEAUD1" + struct.pack("<II", 0, 4) + bytes(8),
+     "error", "ValueError: FAKEAUD1 sample_rate", make_audio_payload(1)),
 ])
 def test_bad_media_payload_is_one_quarantine_row(decoder, projection, bad,
                                                  status, error, good):

@@ -80,49 +80,47 @@ def test_extract_pages_dataset(ray_session):
 
 
 def test_partitioned_write_and_lineage(ray_session, tmp_path):
+    """One file of one row group per write task, its rows sorted by the
+    url-hash ``part`` column."""
+    import zlib
+
     from html_parser_ray.sources.synth import pages_dataset
     from html_parser_ray.stages.extract import extract_pages
     from html_parser_ray.pipelines.extract import write_extracted
     out_dir = str(tmp_path / "out")
-    extracted = extract_pages(pages_dataset(50, seed=9, parallelism=4),
-                              batch_size=32)
-    write_extracted(extracted, out_dir, n_buckets=8)
-    parts = sorted(d for d in os.listdir(out_dir) if d.startswith("part="))
-    assert len(parts) >= 2
-    total = 0
-    row_groups = []
-    for part in parts:
-        for f in os.listdir(os.path.join(out_dir, part)):
-            if f.endswith(".parquet"):
-                path = os.path.join(out_dir, part, f)
-                total += pq.read_table(path).num_rows
-                row_groups.append(pq.ParquetFile(path).metadata.num_row_groups)
-    assert total == 50
-    # each write task hands the partitioned writer one contiguous table,
-    # so each file it writes is a single row group
-    assert row_groups and all(n == 1 for n in row_groups), row_groups
+    pages = pages_dataset(50, seed=9, parallelism=4).materialize()
+    n_blocks = pages.num_blocks()
+    write_extracted(extract_pages(pages, batch_size=32), out_dir,
+                    n_buckets=8)
+    files = sorted(f for f in os.listdir(out_dir) if f.endswith(".parquet"))
+    assert 1 <= len(files) <= n_blocks, (files, n_blocks)
+    all_parts = []
+    for f in files:
+        path = os.path.join(out_dir, f)
+        assert pq.ParquetFile(path).metadata.num_row_groups == 1, f
+        t = pq.read_table(path, columns=["url", "part"])
+        parts = t.column("part").to_pylist()
+        assert parts == [zlib.crc32(u.encode()) % 8
+                         for u in t.column("url").to_pylist()]
+        assert parts == sorted(parts), f
+        all_parts += parts
+    assert len(all_parts) == 50
+    # a reader of one bucket filters on the column
+    bucket = pq.read_table(out_dir, filters=[("part", "=", 3)])
+    assert bucket.column("part").to_pylist() == [3] * all_parts.count(3)
 
 
 def _collect_parts(out_dir, columns):
-    """Sorted rows of every ``part=K`` file under a run_extract output."""
-    rows = []
-    for part in sorted(os.listdir(out_dir)):
-        if not part.startswith("part="):
-            continue
-        for f in sorted(os.listdir(os.path.join(out_dir, part))):
-            if f.endswith(".parquet"):
-                t = pq.read_table(os.path.join(out_dir, part, f),
-                                  columns=columns)
-                rows += list(zip(*(t.column(c).to_pylist()
-                                   for c in columns)))
-    return sorted(rows)
+    """Sorted rows of a run_extract output."""
+    t = pq.read_table(out_dir, columns=columns)
+    return sorted(zip(*(t.column(c).to_pylist() for c in columns)))
 
 
 def _shard_files(out_dir, shard_id):
     """{path: mtime_ns} of the files one shard wrote."""
     import glob
     return {p: os.stat(p).st_mtime_ns for p in glob.glob(
-        os.path.join(out_dir, "part=*", f"shard-{shard_id}_*"))}
+        os.path.join(out_dir, f"shard-{shard_id}_*"))}
 
 
 def test_resumable_extract_skips_done_shards(ray_session, tmp_path):
@@ -160,12 +158,11 @@ def test_resumable_extract_replaces_partial_shard_output(ray_session,
     def plant_stale(shard_id, url):
         # a preempted run: a partial file in the shard's name, no
         # manifest entry
-        part_dir = os.path.join(out_dir, "part=3")
-        os.makedirs(part_dir, exist_ok=True)
+        os.makedirs(out_dir, exist_ok=True)
         pq.write_table(pa.table({"url": [url], "status": ["ok"],
                                  "n_errors": [0],
                                  "quirks_mode": ["no-quirks"]}),
-                       os.path.join(part_dir,
+                       os.path.join(out_dir,
                                     f"shard-{shard_id}_stale.parquet"))
 
     plant_stale("00000", "stale://1")
@@ -266,8 +263,8 @@ def test_run_extract_reads_and_writes_uris(ray_session, tmp_path):
     write_pages_parquet(str(in_dir / "a.parquet"), 10, seed=1)
     write_pages_parquet(str(in_dir / "b.parquet"), 10, seed=2, start=10)
     out_dir = tmp_path / "out"
-    stale = out_dir / "part=3" / "shard-00001_stale.parquet"
-    stale.parent.mkdir(parents=True)
+    stale = out_dir / "shard-00001_stale.parquet"
+    stale.parent.mkdir()
     pq.write_table(pa.table({"url": ["stale://1"]}), str(stale))
     counters = run_extract(in_dir.as_uri(), out_dir.as_uri(),
                            files_per_shard=1)
@@ -280,6 +277,48 @@ def test_run_extract_reads_and_writes_uris(ray_session, tmp_path):
     # resubmitted: both shards are skipped
     assert run_extract(in_dir.as_uri(), out_dir.as_uri(),
                        files_per_shard=1) == counters
+
+
+def test_run_extract_writes_one_file_per_shard_task(ray_session, tmp_path):
+    """4 single-file shards: every write task of every shard writes one
+    file of one row group at the top of out_dir, not one per bucket."""
+    import re
+
+    from html_parser_ray.sources.synth import write_pages_parquet
+    from html_parser_ray.pipelines.extract import run_extract
+    in_dir = str(tmp_path / "in")
+    os.makedirs(in_dir)
+    for i in range(4):
+        write_pages_parquet(os.path.join(in_dir, f"{i}.parquet"), 20,
+                            seed=i + 1, start=i * 20)
+    out_dir = str(tmp_path / "out")
+    assert run_extract(in_dir, out_dir, files_per_shard=1)["docs"] == 80
+    files = sorted(f for f in os.listdir(out_dir) if f != "_manifest")
+    # shard-<id>_<write uuid>_<task>_<block>-<file of the task>.parquet
+    name = re.compile(r"shard-(\d{5})_[0-9a-f]+_(\d{6})_000000-0\.parquet")
+    tasks = [name.fullmatch(f) for f in files]
+    assert all(tasks), files
+    assert len({m.groups() for m in tasks}) == len(files)
+    assert {m.group(1) for m in tasks} == {f"{i:05d}" for i in range(4)}
+    assert all(pq.ParquetFile(os.path.join(out_dir, f)).metadata
+               .num_row_groups == 1 for f in files)
+    assert len(_collect_parts(out_dir, ["url"])) == 80
+
+
+def test_run_extract_rejects_old_partitioned_layout(ray_session, tmp_path):
+    """Resuming into an out_dir of ``part=K/`` directories would mix two
+    layouts in one output."""
+    from html_parser_ray.sources.synth import write_pages_parquet
+    from html_parser_ray.pipelines.extract import run_extract
+    in_dir = str(tmp_path / "in")
+    os.makedirs(in_dir)
+    write_pages_parquet(os.path.join(in_dir, "a.parquet"), 10, seed=1)
+    old = tmp_path / "out" / "part=3" / "shard-00000_old.parquet"
+    old.parent.mkdir(parents=True)
+    pq.write_table(pa.table({"url": ["old://1"]}), str(old))
+    with pytest.raises(ValueError, match="part=K/ layout"):
+        run_extract(in_dir, str(tmp_path / "out"), files_per_shard=1)
+    assert old.exists()
 
 
 def test_resumable_extract_exactly_once_after_worker_sigkill(
