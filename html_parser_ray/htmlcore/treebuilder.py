@@ -616,6 +616,25 @@ class TreeBuilder:
                     return False
         return False
 
+    def _has_heading_in_scope(self) -> bool:
+        # any h1-h6 in default scope, in one walk: no heading is a scope
+        # terminator, so the first heading or terminator from the top decides
+        html_t, math_t, svg_t = SCOPE_DEFAULT
+        for el in reversed(self.stack):
+            if el.ns == HTML_NS:
+                n_ = el.name
+                if n_ in HEADINGS:
+                    return True
+                if n_ in html_t:
+                    return False
+            elif el.ns == MATHML_NS:
+                if el.name in math_t:
+                    return False
+            elif el.ns == SVG_NS:
+                if el.name in svg_t:
+                    return False
+        return False
+
     def _has_element_in_scope(self, target: Element, scope=SCOPE_DEFAULT) -> bool:
         html_t, math_t, svg_t = scope
         for el in reversed(self.stack):
@@ -1678,7 +1697,7 @@ class TreeBuilder:
 
     def _ibe_heading(self, token: tuple) -> None:
         name = token[1]
-        if not any(self._has_in_scope(h) for h in HEADINGS):
+        if not self._has_heading_in_scope():
             self._err("unexpected-end-tag")
             return
         self._generate_implied_end()

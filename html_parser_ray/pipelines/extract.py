@@ -81,7 +81,9 @@ def write_extracted(extracted_ds, out_dir: str, n_buckets: int = 64,
     Each write task writes one file with one row group, its rows sorted
     by the int32 ``part`` column (``add_url_bucket``), so a job writes at
     most as many files as write tasks. Bucket K is
-    ``pq.read_table(out_dir, filters=[("part", "=", K)])``."""
+    ``pq.read_table(out_dir, filters=[("part", "=", K)])``, but that read
+    prunes nothing yet: each file's one row group spans every ``part``
+    value, so it reads every file in full and filters the rows."""
     ds = add_url_bucket(extracted_ds, n_buckets)
     ds.write_parquet(out_dir,
                      filename_provider=(None if shard_id is None
@@ -193,7 +195,9 @@ def run_extract(input_path: str, out_dir: str, *, concurrency=None,
     Each write task writes one file, ``out_dir/shard-<id>_*.parquet``,
     of one row group sorted by the int32 ``part`` column
     (``write_extracted``); bucket K is
-    ``pq.read_table(out_dir, filters=[("part", "=", K)])``.
+    ``pq.read_table(out_dir, filters=[("part", "=", K)])``, which today
+    reads every file and filters the rows, because each file's one row
+    group spans every ``part`` value.
 
     ``concurrency`` is accepted and ignored: existing callers
     (``perfbench`` among them) still pass a pool size, and honouring it as

@@ -24,6 +24,7 @@ one row = one full HTML parse.
 
 from __future__ import annotations
 
+import gc
 import json
 from collections.abc import Callable
 from functools import partial
@@ -207,6 +208,14 @@ class DocStage:
     One pathological document never fails the batch, which at 10^12
     documents would poison the retry loop. Ok rows have ``status="ok"``
     and ``error=""``.
+
+    Memory: a parsed tree is a reference cycle (``Element.children`` ↔
+    ``node.parent``), so reference counting never frees it. The batch runs
+    with the cyclic collector paused, which keeps everything it allocates
+    in the young generation, and then, if the caller had the collector
+    on, one young-generation collection frees all of the batch's dead
+    trees, at a cost in proportion to the batch rather than the worker's
+    heap. The caller's collector state is restored.
     """
 
     def __init__(self, *projections: Projection, decoder: Decoder = HTML):
@@ -218,6 +227,18 @@ class DocStage:
                            for f in self.fields}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return self._project(batch)
+        finally:
+            if enabled:
+                gc.enable()
+                # after _project has returned, so the last document's tree,
+                # which its frame held, is garbage too
+                gc.collect(0)
+
+    def _project(self, batch: pa.Table) -> pa.Table:
         decode = self.decoder.decode
         carried = {name: batch.column(name).to_pylist()
                    for p in self.projections for name in p.reads}

@@ -3,18 +3,21 @@ projections over page batches, matching the single-doc kernel per
 url."""
 
 import functools
+import gc
 import json
 
 import pyarrow as pa
 import pytest
 
 from html_parser_ray.htmlcore.api import parse_bytes
+from html_parser_ray.htmlcore.dom import Element
 from html_parser_ray.htmlcore.extract import (
     outline, serialize, text_content, visible_text_tokens_with_provenance,
 )
 from html_parser_ray.sources.synth import make_table
 from html_parser_ray.stages.extract import (
-    CHUNKS, HTML_TEXT, OUTLINE, PATCH, SERIALIZED, TOKENS, DocStage,
+    CHUNKS, HTML, HTML_TEXT, OUTLINE, PATCH, SERIALIZED, TOKENS, VISIBLE_TEXT,
+    DocStage,
 )
 
 
@@ -150,3 +153,66 @@ def test_patch_stage_applies_and_quarantines():
         assert error[:2] == ["", "PatchPlanningError: NODE_NOT_FOUND"]
         if n == 3:
             assert error[2].startswith("UnicodeDecodeError: ")
+
+
+# ---------------------------------------------------------------------------
+# DocStage's collector contract: the batch runs with the cyclic collector
+# paused and ends with one young-generation pass that frees its trees
+
+def test_doc_stage_restores_the_callers_collector_state():
+    was_enabled = gc.isenabled()
+    seen: list[int] = []
+
+    def hook(phase, info):
+        if phase == "start":
+            seen.append(info["generation"])
+
+    batch = make_table(2, seed=5, size_scale=32)
+    gc.callbacks.append(hook)
+    try:
+        gc.enable()
+        DocStage(VISIBLE_TEXT)(batch)
+        assert gc.isenabled()
+        gc.disable()
+        seen.clear()
+        DocStage(VISIBLE_TEXT)(batch)
+        assert not gc.isenabled()
+        assert seen == []  # a caller that paused the collector gets no pass
+    finally:
+        gc.callbacks.remove(hook)
+        if was_enabled:
+            gc.enable()
+
+
+def test_doc_stage_batch_ends_in_one_young_collection():
+    was_enabled = gc.isenabled()
+    batch = make_table(16, seed=5, size_scale=32)
+    decoded = [0]
+
+    def counting_decode(cell):
+        decoded[0] += 1
+        return HTML.decode(cell)
+
+    stage = DocStage(VISIBLE_TEXT, decoder=HTML._replace(
+        decode=counting_decode))
+    seen: list[tuple[int, int]] = []
+
+    def hook(phase, info):
+        if phase == "start":
+            seen.append((info["generation"], decoded[0]))
+
+    gc.enable()
+    gc.collect()
+    kept = [o for o in gc.get_objects() if isinstance(o, Element)]
+    before = {id(o) for o in kept}  # held, so no id is reused
+    gc.callbacks.append(hook)
+    try:
+        out = stage(batch)
+    finally:
+        gc.callbacks.remove(hook)
+        if not was_enabled:
+            gc.disable()
+    assert out.column("status").to_pylist() == ["ok"] * len(batch)
+    assert seen == [(0, len(batch))]
+    assert not [o for o in gc.get_objects()
+                if isinstance(o, Element) and id(o) not in before]

@@ -196,6 +196,21 @@ def test_budget_max_nodes_raises():
     assert exc_info.value.payload["budget"] == "maxNodes"
 
 
+def test_budget_max_nodes_boundary():
+    # a tree of exactly max_nodes nodes (the document node included)
+    # parses; one node more raises with the tree's node count as actual
+    def page(k):
+        return "<span></span>" * k
+
+    limit = parse(page(20)).n_nodes
+    assert parse(page(20), budgets=Budgets(max_nodes=limit)).n_nodes == limit
+    with pytest.raises(BudgetExceededError) as exc_info:
+        parse(page(21), budgets=Budgets(max_nodes=limit))
+    assert exc_info.value.payload == {"code": "BUDGET_EXCEEDED",
+                                      "budget": "maxNodes", "limit": limit,
+                                      "actual": limit + 1}
+
+
 def test_budget_max_depth_raises():
     html = "<div>" * 100 + "deep"
     with pytest.raises(BudgetExceededError) as exc_info:
