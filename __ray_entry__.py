@@ -3,7 +3,7 @@
 Ray is initialised by the driver BEFORE this module is imported — nothing
 here calls ray.init()/ray.shutdown().
 
-85 queries cover the engine surface per SURVEY.md §2.11: the HTML
+The queries cover the engine surface per SURVEY.md §2.11: the HTML
 extraction pipeline (wrap documents.text in deterministic escaped HTML →
 DocStage(VISIBLE_TEXT) → byte-exact text vs a SQL normalization oracle),
 boilerplate classification / main-content extraction, PDF/layout parse,
@@ -13,15 +13,15 @@ embedding-cosine / connected-components keep-canonical), similarity
 search (brute-force + trained-IVF top-k), text analysis (tokens,
 fingerprints, language-ID, quality), the link-graph layer (DOM href
 extraction / host edges / integer-exact PageRank), deterministic
-sampling, session + tumbling windows, multimodal feature stages, and the
-generic columnar path, plus the round-3 curation/sketch/retrieval
+sampling, image feature extraction, and the curation/sketch/retrieval
 layers (inverted index, count-min + Bloom + HLL register sketches,
 exact grouped count-distinct, grouped quantiles, group balancing,
 global rank, kNN self-join, grouped embedding centroids, JSONL
-round-trip, Bloom-prefiltered delta dedup). All 85 have value-checked
-DuckDB oracles (since r3 the simhash queries too: their token hash is
-md5-based — md5_number_lower in DuckDB — so the per-bit majority is
-SQL-expressible end to end).
+round-trip, Bloom-prefiltered delta dedup). Every query reads only the
+documents and embeddings tables, and every one has a value-checked
+DuckDB oracle (the simhash queries too: their token hash is md5-based —
+md5_number_lower in DuckDB — so the per-bit majority is SQL-expressible
+end to end).
 Column names match the SQL aliases exactly (the driver sorts columns by
 name before hashing values), and aggregate sums are CAST to BIGINT so
 DuckDB's HUGEINT does not change the comparison dtype.
@@ -415,42 +415,12 @@ def q_c4_clean(sf_dir: str):
     return c4_clean(ds.map_batches(_c4_wrap, batch_format="pyarrow"))
 
 
-def _sampled_orders(sf_dir: str):
-    """Every-10th order (o_orderkey % 10 == 0) — the join right side;
-    the subset makes BOTH the semi and anti results non-trivial (all
-    customers have some order in the full table)."""
-    ds = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
-
-    def pick(batch: pa.Table) -> pa.Table:
-        import numpy as np
-        keys = batch.column("o_orderkey").to_numpy(zero_copy_only=False)
-        return batch.filter(pa.array(keys % 10 == 0)).select(["o_custkey"])
-
-    return ds.map_batches(pick, batch_format="pyarrow")
-
-
 def q_split_assign(sf_dir: str):
     """Deterministic hash-stable train/val/test split (900/50/50 permille
     thresholds on md5(id:salt) % 1000) — never random_split."""
     from html_parser_ray.functions.sampling import split_assign
     ds = _read(sf_dir, "documents", columns=["doc_id"])
     return split_assign(ds, permille=(900, 50, 50), salt="split")
-
-
-def q_nation_lookup_outer(sf_dir: str):
-    """Left-outer broadcast lookup: every supplier row survives; the
-    25-row nation side rides in the object store, matched rows get
-    n_name, unmatched (none here — FK integrity, asserted by the LEFT
-    JOIN oracle) would get NULL."""
-    from html_parser_ray.functions.joins import broadcast_lookup_outer
-    import pyarrow.parquet as pq
-    import os
-    sup = _read(sf_dir, "supplier", columns=["s_suppkey", "s_nationkey"])
-    nation = pq.read_table(os.path.join(sf_dir, "nation.parquet"),
-                           columns=["n_nationkey", "n_name"])
-    return broadcast_lookup_outer(sup, nation, key="s_nationkey",
-                                  lookup_key="n_nationkey",
-                                  value_cols=["n_name"])
 
 
 def q_range_partition(sf_dir: str):
@@ -460,25 +430,6 @@ def q_range_partition(sf_dir: str):
     from html_parser_ray.functions.sketches import range_partition
     ds = _read(sf_dir, "documents", columns=["doc_id", "n_chars"])
     return range_partition(ds, "n_chars", 4)
-
-
-def q_customers_with_orders(sf_dir: str):
-    """Semi-join (EXISTS): customers having an order in the sampled
-    subset — right side reduced to 8-B key markers, bounded-broadcast
-    primary path."""
-    from html_parser_ray.functions.joins import semi_join
-    cust = _read(sf_dir, "customer", columns=["c_custkey", "c_name"])
-    return semi_join(cust, _sampled_orders(sf_dir), on="c_custkey",
-                     right_on="o_custkey")
-
-
-def q_customers_without_orders(sf_dir: str):
-    """Anti-join (NOT EXISTS): customers with no order in the sampled
-    subset."""
-    from html_parser_ray.functions.joins import anti_join
-    cust = _read(sf_dir, "customer", columns=["c_custkey", "c_name"])
-    return anti_join(cust, _sampled_orders(sf_dir), on="c_custkey",
-                     right_on="o_custkey")
 
 
 def q_curate_pipeline(sf_dir: str):
@@ -1437,59 +1388,38 @@ def q_patch_edit(sf_dir: str):
     return _wrapped_pages(sf_dir).map_batches(run, batch_format="pyarrow")
 
 
-def _media_from_documents(sf_dir: str, kind: str):
-    """Deterministic media table keyed by doc_id (media payloads are
+def _media_from_documents(sf_dir: str):
+    """Deterministic image table keyed by doc_id (media payloads are
     synthesized — no external data; see stages/multimodal.py)."""
-    from html_parser_ray.stages.multimodal import (
-        make_image_payload, make_audio_payload, make_video_payload)
-    makers = {"image": make_image_payload, "audio": make_audio_payload,
-              "video": make_video_payload}
-    maker = makers[kind]
+    from html_parser_ray.stages.multimodal import make_image_payload
     ds = _read(sf_dir, "documents", columns=["doc_id"])
 
     def build(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_pylist()
         return pa.table({
             "media_id": pa.array(ids, pa.int64()),
-            "kind": pa.array([kind] * len(ids), pa.string()),
-            "payload": pa.array([maker(i) for i in ids], pa.binary()),
+            "kind": pa.array(["image"] * len(ids), pa.string()),
+            "payload": pa.array([make_image_payload(i) for i in ids],
+                                pa.binary()),
             "source_url": pa.array([f"media://{i}" for i in ids], pa.string()),
         })
 
     return ds.map_batches(build, batch_format="pyarrow")
 
 
-def _media_features(sf_dir: str, kind: str, projection, decoder,
-                    columns: list[str]):
-    """The ok rows of the media table of ``kind`` through a DocStage task
-    map: payloads are KB-sized cells, so 32 rows a batch."""
-    from html_parser_ray.stages.extract import DocStage, ok_rows
-    out = _media_from_documents(sf_dir, kind).map_batches(
-        DocStage(projection, decoder=decoder), batch_format="pyarrow",
-        batch_size=32)
-    return out.map_batches(lambda b: ok_rows(b).select(columns),
-                           batch_format="pyarrow")
-
-
 def q_image_features(sf_dir: str):
     """Image decode + feature-extract; dims are derivable from media_id so
-    the decode path is value-checked end to end."""
+    the decode path is value-checked end to end. The ok rows of a
+    DocStage task map: payloads are KB-sized cells, so 32 rows a batch."""
+    from html_parser_ray.stages.extract import DocStage, ok_rows
     from html_parser_ray.stages.multimodal import IMAGE, IMAGE_FEATURES
-    return _media_features(sf_dir, "image", IMAGE_FEATURES, IMAGE,
-                           ["media_id", "width", "height", "channels"])
-
-
-def q_audio_features(sf_dir: str):
-    from html_parser_ray.stages.multimodal import AUDIO, AUDIO_FEATURES
-    return _media_features(sf_dir, "audio", AUDIO_FEATURES, AUDIO,
-                           ["media_id", "sample_rate", "n_samples",
-                            "duration_ms"])
-
-
-def q_video_frame_sample(sf_dir: str):
-    from html_parser_ray.stages.multimodal import VIDEO, VIDEO_FRAMES
-    return _media_features(sf_dir, "video", VIDEO_FRAMES, VIDEO,
-                           ["media_id", "frame_index"])
+    out = _media_from_documents(sf_dir).map_batches(
+        DocStage(IMAGE_FEATURES, decoder=IMAGE), batch_format="pyarrow",
+        batch_size=32)
+    return out.map_batches(
+        lambda b: ok_rows(b).select(["media_id", "width", "height",
+                                     "channels"]),
+        batch_format="pyarrow")
 
 
 def q_deterministic_sample(sf_dir: str):
@@ -1498,183 +1428,6 @@ def q_deterministic_sample(sf_dir: str):
     from html_parser_ray.functions.textstats import deterministic_sample_batch
     ds = _read(sf_dir, "documents", columns=["doc_id", "lang"])
     return ds.map_batches(deterministic_sample_batch, batch_format="pyarrow")
-
-
-def q_sessionize(sf_dir: str):
-    from html_parser_ray.functions.windows import sessionize
-    ds = _read(sf_dir, "events", columns=["user_id", "event_id", "ts", "value"])
-    return sessionize(ds, gap_s=1800)
-
-
-def q_tumbling_window(sf_dir: str):
-    from html_parser_ray.functions.windows import tumbling_window_agg
-    ds = _read(sf_dir, "events", columns=["ts", "value"])
-    return tumbling_window_agg(ds, window_s=3600)
-
-
-def q_hopping_window(sf_dir: str):
-    """1h windows hopping every 15 min — each event in 4 windows."""
-    from html_parser_ray.functions.windows import hopping_window_agg
-    ds = _read(sf_dir, "events", columns=["ts", "value"])
-    return hopping_window_agg(ds, window_s=3600, hop_s=900)
-
-
-def q_revenue_by_nation(sf_dir: str):
-    """TPC-H-style join pipeline: orders ⋈ customer with the
-    hash-partitioned Dataset.join (both sides large — each shuffles once
-    on the key), then the 25-row nation table as a BROADCAST lookup (no
-    shuffle), then per-batch partial aggregation before the tiny final
-    groupby. Demonstrates both join strategies from the scale policy."""
-    import pyarrow.parquet as pq
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-    from html_parser_ray.functions.joins import broadcast_lookup, hash_join
-
-    orders = _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
-    customer = _read(sf_dir, "customer",
-                     columns=["c_custkey", "c_nationkey"])
-    # num_partitions=8: winner of the r3 sweep (8/16/32/64 → 2.4/3.1/5.1/
-    # 14.6 s at sf0.1, 32 cpus) — join aggregator-actor spin-up dominates
-    # at bench scale; see hash_join docstring for the 100-TB sizing rule
-    joined = hash_join(orders, customer, on="o_custkey",
-                       right_on="c_custkey", num_partitions=8)
-    nation = pq.read_table(f"{sf_dir}/nation.parquet",
-                           columns=["n_nationkey", "n_name"])
-    named = broadcast_lookup(joined, nation, key="c_nationkey",
-                             lookup_key="n_nationkey",
-                             value_cols=["n_name"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        names = batch.column("n_name").to_pylist()
-        prices = batch.column("o_totalprice").to_numpy(
-            zero_copy_only=False)
-        import numpy as np
-        uniq, inverse = np.unique(np.asarray(names, dtype=object),
-                                  return_inverse=True)
-        return pa.table({
-            "n_name": pa.array(uniq.tolist(), pa.string()),
-            "n_orders": pa.array(np.bincount(inverse), pa.int64()),
-            "revenue": pa.array(
-                np.bincount(inverse, weights=prices), pa.float64()),
-        })
-
-    agg = (named.map_batches(partial, batch_format="pyarrow")
-           .groupby("n_name")
-           .aggregate(Sum("n_orders", alias_name="n_orders"),
-                      Sum("revenue", alias_name="revenue")))
-    return agg.map_batches(
-        lambda b: pa.table({
-            "n_name": b.column("n_name"),
-            "n_orders": b.column("n_orders"),
-            "revenue_cents": pc.cast(
-                pc.round(pc.multiply(b.column("revenue"), 100.0)),
-                pa.int64()),
-        }), batch_format="pyarrow")
-
-
-def q_purchase_attribution(sf_dir: str):
-    """As-of join (backward): each purchase event attributed to the same
-    user's most recent prior signup — the custom operator composition
-    (tag + union + one key co-shuffle + vectorized per-group
-    searchsorted) vs DuckDB's native ASOF JOIN."""
-    from html_parser_ray.functions.joins import asof_join
-
-    ev = _read(sf_dir, "events",
-               columns=["event_id", "user_id", "ts", "event_type"])
-    purchases = ev.map_batches(_purchase_project, batch_format="pyarrow")
-    signups = ev.map_batches(_signup_project, batch_format="pyarrow")
-    out = asof_join(purchases, signups, on="user_id", ts="ts",
-                    right_value_cols=["signup_ts"])
-    return out.map_batches(
-        lambda b: b.select(["event_id", "signup_ts"]),
-        batch_format="pyarrow")
-
-
-def _purchase_project(batch: pa.Table) -> pa.Table:
-    import pyarrow.compute as pc
-    f = batch.filter(pc.equal(batch.column("event_type"), "purchase"))
-    return f.select(["event_id", "user_id", "ts"])
-
-
-def _signup_project(batch: pa.Table) -> pa.Table:
-    import pyarrow.compute as pc
-    f = batch.filter(pc.equal(batch.column("event_type"), "signup"))
-    return pa.table({
-        "user_id": f.column("user_id"),
-        "ts": f.column("ts"),
-        "signup_ts": f.column("ts"),
-    })
-
-
-def q_purchase_error_window(sf_dir: str):
-    """Range join: every (purchase, error) pair of the same user with the
-    error within ±4 hours of the purchase — the interval-join
-    composition vs a SQL BETWEEN join."""
-    from html_parser_ray.functions.joins import range_join
-
-    ev = _read(sf_dir, "events",
-               columns=["event_id", "user_id", "ts", "event_type"])
-    purchases = ev.map_batches(_purchase_project, batch_format="pyarrow")
-
-    def err_project(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        f = batch.filter(pc.equal(batch.column("event_type"), "error"))
-        return pa.table({
-            "user_id": f.column("user_id"),
-            "ts": f.column("ts"),
-            "err_event_id": f.column("event_id"),
-        })
-
-    errors = ev.map_batches(err_project, batch_format="pyarrow")
-    out = range_join(purchases, errors, on="user_id", ts="ts",
-                     lo_us=-14_400_000_000, hi_us=14_400_000_000,
-                     right_value_cols=["err_event_id"])
-    return out.map_batches(
-        lambda b: b.select(["event_id", "err_event_id"]),
-        batch_format="pyarrow")
-
-
-def q_top_users_by_value(sf_dir: str):
-    from ray.data.aggregate import Sum
-    import pyarrow.compute as pc
-    ds = _read(sf_dir, "events", columns=["user_id", "value"])
-    agg = ds.groupby("user_id").aggregate(Sum("value", alias_name="total"))
-
-    def to_cents(batch: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(batch.column("total"), 100.0)),
-                        pa.int64())
-        return pa.table({"user_id": batch.column("user_id"),
-                         "total_cents": cents})
-
-    return (agg.map_batches(to_cents, batch_format="pyarrow")
-            .sort(["total_cents", "user_id"], descending=[True, False])
-            .limit(10))
-
-
-def q_pricing_summary(sf_dir: str):
-    """TPC-H Q1-style rollup over lineitem (generic columnar path check)."""
-    from ray.data.aggregate import Sum, Count
-    import pyarrow.compute as pc
-    ds = _read(sf_dir, "lineitem",
-               columns=["l_returnflag", "l_linestatus", "l_quantity",
-                        "l_extendedprice"])
-    agg = (ds.groupby(["l_returnflag", "l_linestatus"])
-           .aggregate(Sum("l_quantity", alias_name="sum_qty_raw"),
-                      Sum("l_extendedprice", alias_name="sum_price_raw"),
-                      Count(alias_name="count_order")))
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "l_returnflag": batch.column("l_returnflag"),
-            "l_linestatus": batch.column("l_linestatus"),
-            "sum_qty": pc.cast(pc.round(batch.column("sum_qty_raw")), pa.int64()),
-            "sum_price_cents": pc.cast(
-                pc.round(pc.multiply(batch.column("sum_price_raw"), 100.0)),
-                pa.int64()),
-            "count_order": batch.column("count_order"),
-        })
-
-    return agg.map_batches(finish, batch_format="pyarrow")
 
 
 # --------------------------------------------------------------------------
@@ -1693,13 +1446,8 @@ def entry() -> Any:
 
 def queries() -> dict[str, Callable[[str], Any]]:
     return {
-    # Ordering policy (rotated each round per the judge's verdicts): the
-    # grading driver value-checks the FIRST 50 entries. r5 rotation: the
-    # 35 queries absent from CORRECTNESS_r04 come first (they were the
-    # r03 window — now the stalest), then the queries whose operators
-    # round 5 touches (pagerank vectorization, parse-kernel perf work,
-    # JPEG decode), then long-stable r04-green queries close the list,
-    # keeping every query <= 1 round stale under the hard driver signal.
+        # The driver value-checks the first 50 entries;
+        # test_first_50_query_window_is_pinned pins that window.
         "token_counts": q_token_counts,
         "fingerprints": q_fingerprints,
         "quality_features": q_quality_features,
@@ -1713,12 +1461,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "grouped_topk": q_grouped_topk,
         "hll_registers": q_hll_registers,
         "url_blocklist": q_url_blocklist,
-        "customers_with_orders": q_customers_with_orders,
         "range_partition": q_range_partition,
         "split_assign": q_split_assign,
-        "nation_lookup_outer": q_nation_lookup_outer,
         "dedup_lines": q_dedup_lines,
-        "customers_without_orders": q_customers_without_orders,
         "pii_redact": q_pii_redact,
         "url_canonical": q_url_canonical,
         "host_rollup": q_host_rollup,
@@ -1735,7 +1480,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "profile_table": q_profile_table,
         "grouped_quantiles": q_grouped_quantiles,
         "global_rank": q_global_rank,
-        # --- operators touched in round 5 (fill the 50-row window) ---
         "host_pagerank": q_host_pagerank,
         "link_graph": q_link_graph,
         "anchor_rollup": q_anchor_rollup,
@@ -1751,7 +1495,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "patch_edit": q_patch_edit,
         "warc_extract": q_warc_extract,
         "lm_score": q_lm_score,
-        # --- r04-green, unchanged this round ---
         "distinct_by_lang": q_distinct_by_lang,
         "delta_dedup_bloom": q_delta_dedup_bloom,
         "quantiles": q_quantiles,
@@ -1766,19 +1509,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "embedding_neardup_pairs": q_embedding_neardup_pairs,
         "embedding_dedup": q_embedding_dedup,
         "pdf_extract": q_pdf_extract,
-        "audio_features": q_audio_features,
-        "video_frame_sample": q_video_frame_sample,
         "deterministic_sample": q_deterministic_sample,
-        "sessionize": q_sessionize,
-        "tumbling_window": q_tumbling_window,
-        "hopping_window": q_hopping_window,
         "ann_topk": q_ann_topk,
         "ann_ivf_topk": q_ann_ivf_topk,
-        "revenue_by_nation": q_revenue_by_nation,
-        "purchase_attribution": q_purchase_attribution,
-        "purchase_error_window": q_purchase_error_window,
-        "top_users_by_value": q_top_users_by_value,
-        "pricing_summary": q_pricing_summary,
         "lm_filter": q_lm_filter,
         "bigram_lm": q_bigram_lm,
         "minhash_dedup_best": q_minhash_dedup_best,
@@ -2289,11 +2022,6 @@ def oracle_sql() -> dict[str, str]:
             "% 9223372036854775808) % 1000 < 950 THEN 1 "
             "ELSE 2 END AS BIGINT) AS split FROM documents"
         ),
-        "nation_lookup_outer": (
-            "SELECT s.s_suppkey, s.s_nationkey, n.n_name "
-            "FROM supplier s LEFT JOIN nation n "
-            "ON n.n_nationkey = s.s_nationkey"
-        ),
         # range_partition: boundaries via the quantiles oracle's rank
         # rule at k/4; bucket = count of boundaries strictly below v
         "range_partition": (
@@ -2306,17 +2034,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT doc_id, n_chars, "
             "CAST((SELECT count(*) FROM b WHERE d.n_chars > b.bd) "
             "AS BIGINT) AS bucket FROM documents d"
-        ),
-        # semi/anti join: EXISTS / NOT EXISTS
-        "customers_with_orders": (
-            "SELECT c_custkey, c_name FROM customer c WHERE EXISTS ("
-            "SELECT 1 FROM orders o WHERE o.o_orderkey % 10 = 0 "
-            "AND o.o_custkey = c.c_custkey)"
-        ),
-        "customers_without_orders": (
-            "SELECT c_custkey, c_name FROM customer c WHERE NOT EXISTS ("
-            "SELECT 1 FROM orders o WHERE o.o_orderkey % 10 = 0 "
-            "AND o.o_custkey = c.c_custkey)"
         ),
         # curate_pipeline: C4 page filter -> first-keeper exact dedup on
         # the cleaned text -> md5 shard assignment (salt 'curate', 16
@@ -2875,88 +2592,14 @@ def oracle_sql() -> dict[str, str]:
             "SELECT doc_id AS media_id, 16 + (doc_id * 7) % 48 AS width, "
             "16 + (doc_id * 13) % 48 AS height, 3 AS channels FROM documents"
         ),
-        "audio_features": (
-            "SELECT doc_id AS media_id, 16000 AS sample_rate, "
-            "1024 + (doc_id * 31) % 2048 AS n_samples, "
-            "(1024 + (doc_id * 31) % 2048) * 1000 // 16000 "
-            "AS duration_ms FROM documents"
-        ),
-        "video_frame_sample": (
-            "SELECT d.doc_id AS media_id, f.i AS frame_index FROM documents d "
-            "JOIN (SELECT unnest(generate_series(0, 31)) AS i) f "
-            "ON f.i % 4 = 0 AND f.i < 8 + (d.doc_id * 3) % 24"
-        ),
         "deterministic_sample": (
             "SELECT doc_id, lang FROM documents WHERE "
             "CAST(('0x' || substr(md5(CAST(doc_id AS VARCHAR)), 1, 8)) "
             "AS BIGINT) % 10 = 0"
         ),
-        "sessionize": (
-            "WITH ordered AS ("
-            "  SELECT user_id, event_id, ts, value,"
-            "    CASE WHEN ts - LAG(ts) OVER "
-            "      (PARTITION BY user_id ORDER BY ts, event_id) "
-            "      > INTERVAL 1800 SECOND THEN 1 ELSE 0 END AS brk"
-            "  FROM events), "
-            "sess AS ("
-            "  SELECT *, SUM(brk) OVER (PARTITION BY user_id "
-            "    ORDER BY ts, event_id ROWS UNBOUNDED PRECEDING) AS "
-            "    session_idx FROM ordered) "
-            "SELECT user_id, CAST(session_idx AS BIGINT) AS session_idx, "
-            "MIN(ts) AS session_start, "
-            "MAX(ts) AS session_end, COUNT(*) AS n_events, "
-            "CAST(round(SUM(value) * 100) AS BIGINT) AS value_sum_cents "
-            "FROM sess GROUP BY user_id, session_idx"
-        ),
-        "tumbling_window": (
-            "SELECT make_timestamp((epoch_us(ts) // 3600000000) * "
-            "3600000000) AS window_start, COUNT(*) AS n_events, "
-            "CAST(round(SUM(value) * 100) AS BIGINT) AS value_sum_cents "
-            "FROM events GROUP BY 1"
-        ),
-        # each event is exploded onto its 4 overlapping 1h/15min windows
-        "hopping_window": (
-            "SELECT make_timestamp(((epoch_us(ts) // 900000000) - k.k) * "
-            "900000000) AS window_start, COUNT(*) AS n_events, "
-            "CAST(round(SUM(value) * 100) AS BIGINT) AS value_sum_cents "
-            "FROM events, (SELECT unnest(range(4)) AS k) k GROUP BY 1"
-        ),
-        # DuckDB native ASOF JOIN as the oracle for the composed operator
-        "purchase_attribution": (
-            "SELECT p.event_id, s.ts AS signup_ts "
-            "FROM (SELECT * FROM events WHERE event_type = 'purchase') p "
-            "ASOF JOIN (SELECT * FROM events WHERE event_type = 'signup') s "
-            "ON p.user_id = s.user_id AND p.ts >= s.ts"
-        ),
-        "purchase_error_window": (
-            "SELECT p.event_id, e.event_id AS err_event_id "
-            "FROM (SELECT * FROM events WHERE event_type = 'purchase') p "
-            "JOIN (SELECT * FROM events WHERE event_type = 'error') e "
-            "ON p.user_id = e.user_id AND e.ts BETWEEN "
-            "p.ts - INTERVAL 240 MINUTE AND p.ts + INTERVAL 240 MINUTE"
-        ),
-        "revenue_by_nation": (
-            "SELECT n_name, COUNT(*) AS n_orders, "
-            "CAST(round(SUM(o_totalprice) * 100) AS BIGINT) AS "
-            "revenue_cents FROM orders "
-            "JOIN customer ON o_custkey = c_custkey "
-            "JOIN nation ON c_nationkey = n_nationkey GROUP BY n_name"
-        ),
-        "top_users_by_value": (
-            "SELECT user_id, CAST(round(SUM(value) * 100) AS BIGINT) AS "
-            "total_cents FROM events GROUP BY user_id "
-            "ORDER BY total_cents DESC, user_id LIMIT 10"
-        ),
-        "pricing_summary": (
-            "SELECT l_returnflag, l_linestatus, "
-            "CAST(round(SUM(l_quantity)) AS BIGINT) AS sum_qty, "
-            "CAST(round(SUM(l_extendedprice) * 100) AS BIGINT) AS "
-            "sum_price_cents, COUNT(*) AS count_order "
-            "FROM lineitem GROUP BY l_returnflag, l_linestatus"
-        ),
         # no rows-only entries remain: since r3 the simhash queries use an
-        # md5-based token hash (md5_number_lower in DuckDB), so every one
-        # of the 36 queries has a value-checked SQL oracle
+        # md5-based token hash (md5_number_lower in DuckDB), so every
+        # query has a value-checked SQL oracle
     }
     # the Bloom-prefiltered delta path is output-identical to the plain
     # delta path by construction — one oracle, two engine strategies

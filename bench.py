@@ -1,22 +1,17 @@
 """Benchmark harness (driver contract).
 
-Runs the headline pipelines over $GRAFT_SF_DIR (default /root/testdata/sf0.1)
-with ray.init(address="local", num_cpus=$RAY_GRAFT_CPUS or 32) and prints ONE
-JSON line:
+Runs the headline extraction and every ``queries()`` entry over
+$GRAFT_SF_DIR (default /root/testdata/sf0.1) with
+ray.init(address="local", num_cpus=$RAY_GRAFT_CPUS or the CPUs this process
+may run on) and prints ONE JSON line:
   {"metric": ..., "value": N, "unit": "sec", "queries": {...}, "sf": ...,
    "num_cpus": N}
-
---scaling: runs the flagship extraction at N and 4N CPUs (default 4,16 via
-$GRAFT_SCALING_CPUS) in FRESH processes on the same input and reports both
-throughputs plus scaling efficiency (sandbox stand-in for N vs 4N nodes per
-the north rule; see BASELINE.md "Measured results").
 """
 
 from __future__ import annotations
 
 import json
 import os
-import subprocess
 import sys
 import time
 
@@ -24,7 +19,8 @@ import pyarrow as pa
 
 REPO = os.path.dirname(os.path.abspath(__file__))
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS",
+                              len(os.sched_getaffinity(0))))
 
 
 def _sf_label(sf_dir: str) -> float | str:
@@ -108,7 +104,7 @@ def _timed(fn) -> float:
 
 
 # This VM's wall-clock drifts ±20–35% with host load (BASELINE.md), so a
-# single-run bench cannot distinguish regression from noise (the r2 verdict's
+# bench of one run cannot distinguish regression from noise (the r2 verdict's
 # ask). Every headline number is the MEDIAN of GRAFT_BENCH_REPS (default 3)
 # same-session runs, with min/max disclosed in the output.
 BENCH_REPS = int(os.environ.get("GRAFT_BENCH_REPS", "3"))
@@ -179,30 +175,7 @@ def bench_queries(sf_dir: str) -> dict[str, dict]:
     import __ray_entry__ as em
     qs = em.queries()
     times: dict[str, dict] = {}
-    for name in ["extract_rollup_by_lang", "exact_dedup", "token_counts",
-                 "quality_scores", "langid", "simhash",
-                 "minhash_neardup_pairs", "minhash_dedup", "clean_corpus", "ann_topk",
-                 "ann_ivf_topk", "pricing_summary", "revenue_by_nation", "purchase_attribution", "purchase_error_window", "sessionize",
-                 "tumbling_window", "hopping_window", "outline", "main_content",
-                 "extract_full", "pdf_extract", "serialize_roundtrip",
-                 "image_features", "repetition_features", "pii_redact",
-                 "host_rollup", "heavy_hitters", "quantiles", "top_terms",
-                 "dedup_spans", "warc_extract", "link_graph",
-                 "host_pagerank", "lm_score", "stratified_sample",
-                 "decontam", "nfc_normalize", "shuffle_shards",
-                 "pack_spans", "dup_clusters", "grouped_topk",
-                 "lm_filter", "anchor_rollup", "delta_dedup",
-                 "hll_registers", "c4_clean", "url_blocklist",
-                 "curate_pipeline", "customers_with_orders",
-                 "customers_without_orders", "range_partition",
-                 "minhash_dedup_best", "split_assign", "nation_lookup_outer",
-                 "dedup_lines", "bigram_lm", "inverted_index",
-                 "cms_registers", "bloom_registers", "group_balance",
-                 "hll_by_group", "jsonl_roundtrip", "global_rank",
-                 "distinct_by_lang", "delta_dedup_bloom", "knn_join",
-                 "grouped_quantiles", "label_centroids", "profile_table",
-                 "shard_roundtrip"]:
-        fn = qs[name]
+    for name, fn in qs.items():
         times[name] = _median_timed(lambda: _consume(fn(sf_dir)))
     times["main_content_cc"] = bench_main_content_cc(sf_dir)
     return times
@@ -216,7 +189,7 @@ def _consume(result) -> None:
     # pandas / pyarrow results are already materialized
 
 
-def run_single(sf_dir: str, num_cpus: int, extract_only: bool = False) -> dict:
+def run_single(sf_dir: str, num_cpus: int) -> dict:
     import ray
     # log_to_driver=False: worker stdout/stderr otherwise forwards to THE
     # DRIVER'S STDOUT (observed: a stray actor log line landed in front of
@@ -224,10 +197,6 @@ def run_single(sf_dir: str, num_cpus: int, extract_only: bool = False) -> dict:
     ray.init(address="local", num_cpus=num_cpus, include_dashboard=False,
              log_to_driver=False)
     try:
-        if extract_only:
-            # --scaling legs: one run per FRESH subprocess; the scaling
-            # driver takes medians across processes instead
-            return {"extract": bench_extract(sf_dir)}
         runs = sorted((bench_extract(sf_dir) for _ in range(BENCH_REPS)),
                       key=lambda r: r["sec"])
         mid = len(runs) // 2
@@ -248,108 +217,7 @@ def run_single(sf_dir: str, num_cpus: int, extract_only: bool = False) -> dict:
         ray.shutdown()
 
 
-# Pure-CPU spin loop used by controlled-occupancy scaling legs (below) to
-# hold the box at the SAME total core occupancy in both legs.
-_BURNER_CODE = ("x = 1\n"
-                "while True:\n"
-                "    x = (x * 1103515245 + 12345) % 2147483648\n")
-
-
-def _start_burners(n: int) -> list:
-    return [subprocess.Popen([sys.executable, "-c", _BURNER_CODE])
-            for _ in range(n)]
-
-
 def main() -> None:
-    if "--single-run" in sys.argv:
-        # subprocess worker for --scaling: extraction only, fresh Ray session
-        num_cpus = int(sys.argv[sys.argv.index("--single-run") + 1])
-        burners = []
-        if "--burners" in sys.argv:
-            burners = _start_burners(
-                int(sys.argv[sys.argv.index("--burners") + 1]))
-        try:
-            out = run_single(SF_DIR, num_cpus, extract_only=True)
-        finally:
-            for p in burners:
-                p.kill()
-        print("BENCH_RESULT " + json.dumps(out["extract"]))
-        return
-
-    if "--scaling" in sys.argv:
-        # N vs 4N CPUs in fresh processes (sandbox stand-in for N vs 4N
-        # nodes). Default pairing 4 vs 16 (the 32-cpu leg saturates every
-        # core of the box, so Ray's control plane + the OS contend with
-        # workers and understate scaling — a real 4N-node cluster keeps
-        # per-node headroom); run again with GRAFT_SCALING_CPUS=8,32 for
-        # the full-box pairing. MEDIAN of GRAFT_SCALING_REPS (default 5)
-        # per leg with min/max disclosed — the VM shows ±20% run-to-run
-        # noise and best-of-N overstates (r01 verdict asked for medians;
-        # the reference's own bench uses medians of 9,
-        # evaluation.config.json:115-120).
-        # GRAFT_SCALING_CONTROLLED=1 adds equal-occupancy control: the LOW
-        # leg runs alongside (hi - lo) pure-CPU burner processes so BOTH
-        # legs see the same total core occupancy. Calibration (see
-        # BASELINE.md): this VM's per-core throughput drops ~32% when the
-        # other cores are busy (frequency/memory-bandwidth sharing), which
-        # a fixed-size multi-node cluster does not exhibit — per-node
-        # silicon is not shared across nodes. The controlled pairing
-        # isolates the PIPELINE's scaling from that single-box artifact;
-        # the uncontrolled pairing is still reported for disclosure.
-        controlled = os.environ.get("GRAFT_SCALING_CONTROLLED") == "1"
-        calib_pre = _calibration()
-        legs = tuple(int(x) for x in os.environ.get(
-            "GRAFT_SCALING_CPUS", "4,16").split(","))
-        reps = int(os.environ.get("GRAFT_SCALING_REPS", "5"))
-        runs: dict[int, dict] = {}
-        for cpus in legs:
-            n_burners = (max(legs) - cpus) if controlled else 0
-            samples = []
-            for _rep in range(reps):
-                proc = subprocess.run(
-                    [sys.executable, os.path.abspath(__file__),
-                     "--single-run", str(cpus),
-                     "--burners", str(n_burners)],
-                    capture_output=True, text=True, cwd=REPO,
-                    env={**os.environ, "RAY_GRAFT_CPUS": str(cpus)})
-                line = [ln for ln in proc.stdout.splitlines()
-                        if ln.startswith("BENCH_RESULT ")]
-                if not line:
-                    sys.stderr.write(proc.stdout + proc.stderr)
-                    raise RuntimeError(f"scaling run at {cpus} cpus failed")
-                samples.append(
-                    json.loads(line[-1][len("BENCH_RESULT "):]))
-            tps = sorted(s["docs_per_sec"] for s in samples)
-            median = tps[len(tps) // 2] if reps % 2 else \
-                (tps[reps // 2 - 1] + tps[reps // 2]) / 2
-            runs[cpus] = {
-                "median_docs_per_sec": median,
-                "min_docs_per_sec": tps[0],
-                "max_docs_per_sec": tps[-1],
-                "median_mb_per_sec": sorted(
-                    s["mb_per_sec"] for s in samples)[len(samples) // 2],
-                "reps": reps,
-            }
-        lo, hi = legs
-        tp_lo = runs[lo]["median_docs_per_sec"]
-        tp_hi = runs[hi]["median_docs_per_sec"]
-        efficiency = (tp_hi / tp_lo) / (hi / lo)
-        print(json.dumps({
-            "metric": f"extraction scaling efficiency ({lo} -> {hi} cpus, "
-                      f"median of {reps}"
-                      + (", equal-occupancy controlled" if controlled
-                         else "") + ")",
-            "value": round(efficiency, 4),
-            "unit": "ratio",
-            "sf": _sf_label(SF_DIR),
-            "controlled": controlled,
-            "throughput_docs_per_sec": {
-                str(c): {k: round(v, 2) for k, v in runs[c].items()}
-                for c in legs},
-            "calibration": _window_health(calib_pre, _calibration()),
-        }))
-        return
-
     calib_pre = _calibration()
     out = run_single(SF_DIR, NUM_CPUS)
     calib_post = _calibration()

@@ -1,22 +1,21 @@
-"""Join operators: partitioned hash join (large × large) and broadcast
-lookup join (large × small).
+"""Join operators: partitioned hash join (large × large) and semi join
+(keep the rows whose key appears on the other side).
 
 Scale policy (ray_guide "Joins and lookups"):
-- **Both sides large** → ``Dataset.join`` — Ray Data's hash-partitioned
-  join; both sides shuffle once on the key across ``num_partitions``
-  aggregators. Size num_partitions to the cluster (roughly total CPUs)
-  and salt hot keys upstream if one key dominates.
-- **Small side** (dimension table, vocab, blocklist) → ``ray.put`` it
-  once and map the lookup inside ``map_batches`` with a vectorized
-  searchsorted — no shuffle at all, the small side never moves again.
+- **Both sides large** → ``hash_join``, Ray Data's hash-partitioned
+  ``Dataset.join``; both sides shuffle once on the key across
+  ``num_partitions`` aggregators. Size num_partitions to the cluster
+  (roughly total CPUs) and salt hot keys upstream if one key dominates.
+- **Key membership** → ``semi_join``: the right side shrinks to 8-byte
+  keys. Below a bound they are broadcast and the left side streams with
+  no shuffle; above it, one co-shuffle of payload and key markers.
 
-The reference has no join operator (single-document parser); these back
-the generic columnar path of the driver surface (SURVEY.md §2.11).
+The reference has no join operator (single-document parser); the link
+graph uses ``hash_join`` and dedup uses ``semi_join``.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 
 
@@ -34,193 +33,6 @@ def hash_join(left, right, *, on: str, right_on: str | None = None,
     """
     return left.join(right, join_type, num_partitions,
                      on=(on,), right_on=(right_on or on,))
-
-
-def broadcast_lookup(ds, lookup_table: pa.Table, *, key: str,
-                     lookup_key: str, value_cols: list[str]):
-    """Append ``value_cols`` from a SMALL Arrow table to every row of
-    ``ds`` by key (inner semantics: rows with no match are dropped).
-
-    The lookup side is ray.put once (sorted key + value arrays) and read
-    per actor/task from the local object store; each batch does one
-    vectorized searchsorted. Use for dimension tables that fit in
-    memory — at 100 TB this is the side that must NOT shuffle."""
-    import ray
-
-    order = np.argsort(lookup_table.column(lookup_key).to_numpy(
-        zero_copy_only=False))
-    keys = lookup_table.column(lookup_key).to_numpy(
-        zero_copy_only=False)[order]
-    values = {c: lookup_table.column(c).take(pa.array(order))
-              for c in value_cols}
-    if len(keys) > 1 and (keys[1:] == keys[:-1]).any():
-        raise ValueError(
-            "lookup_table has duplicate lookup_key values; searchsorted "
-            "attaches ONE arbitrary match instead of SQL fan-out — "
-            "dedupe the dimension side or use hash_join")
-    ref = ray.put((keys, values))
-
-    def lookup(batch: pa.Table) -> pa.Table:
-        lkeys, lvalues = ray.get(ref)
-        if len(lkeys) == 0:
-            # inner semantics with an empty lookup side: zero rows out
-            # (searchsorted pos-1 would index lkeys[-1] and raise)
-            batch = batch.filter(pa.array(np.zeros(len(batch), dtype=bool)))
-            for c in value_cols:
-                batch = batch.append_column(c, lvalues[c].slice(0, 0))
-            return batch
-        ids = batch.column(key).to_numpy(zero_copy_only=False)
-        pos = np.minimum(np.searchsorted(lkeys, ids), len(lkeys) - 1)
-        hit = lkeys[pos] == ids
-        batch = batch.filter(pa.array(hit))
-        pos = pos[hit]
-        for c in value_cols:
-            batch = batch.append_column(c, lvalues[c].take(pa.array(pos)))
-        return batch
-
-    return ds.map_batches(lookup, batch_format="pyarrow")
-
-
-def asof_join(left, right, *, on: str, ts: str,
-              right_value_cols: list[str], right_ts: str | None = None):
-    """Backward as-of join: for each left row attach, from the right side,
-    the row of the same ``on`` key with the LARGEST ``right_ts`` ≤ the
-    left row's ``ts`` (inner semantics — left rows with no prior right row
-    are dropped), matching SQL ``ASOF JOIN … ON l.k = r.k AND l.ts >= r.ts``.
-
-    Ray Data has no native as-of join; this is the documented composition:
-    tag both sides, schema-pad, union, ONE co-shuffle on the key
-    (groupby), then a vectorized sort + searchsorted inside each group.
-    Partitioning assumption: all rows of one key fit in one group — holds
-    for per-user/per-entity event streams; salt the key upstream if a
-    single entity's history exceeds a worker."""
-    left_schema = left.schema()
-    lcols = list(left_schema.names)
-    rv_types = {c: right.schema().base_schema.field(c).type
-                for c in right_value_cols}
-
-    def tag_left(batch: pa.Table) -> pa.Table:
-        cols = {c: batch.column(c) for c in lcols}
-        for c in right_value_cols:
-            cols[c] = pa.nulls(len(batch), rv_types[c])
-        cols["__side"] = pa.array([0] * len(batch), pa.int8())
-        return pa.table(cols)
-
-    def tag_right(batch: pa.Table) -> pa.Table:
-        cols = {}
-        for c in lcols:
-            if c == on:
-                cols[c] = batch.column(on).cast(
-                    left_schema.base_schema.field(on).type)
-            elif c == ts:
-                cols[c] = batch.column(right_ts or ts).cast(
-                    left_schema.base_schema.field(ts).type)
-            else:
-                cols[c] = pa.nulls(len(batch),
-                                   left_schema.base_schema.field(c).type)
-        for c in right_value_cols:
-            cols[c] = batch.column(c)
-        cols["__side"] = pa.array([1] * len(batch), pa.int8())
-        return pa.table(cols)
-
-    tagged = (left.map_batches(tag_left, batch_format="pyarrow")
-              .union(right.map_batches(tag_right, batch_format="pyarrow")))
-
-    def per_group(group: pa.Table) -> pa.Table:
-        side = group.column("__side").to_numpy(zero_copy_only=False)
-        ts_all = group.column(ts).cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
-        l_mask = side == 0
-        r_mask = ~l_mask
-        if not r_mask.any() or not l_mask.any():
-            return group.slice(0, 0).drop_columns(["__side"])
-        r_ts = ts_all[r_mask]
-        r_order = np.argsort(r_ts, kind="stable")
-        r_ts = r_ts[r_order]
-        idx = np.searchsorted(r_ts, ts_all[l_mask], side="right") - 1
-        keep = idx >= 0
-        l_idx = np.flatnonzero(l_mask)[keep]
-        r_idx = np.flatnonzero(r_mask)[r_order][idx[keep]]
-        out = {c: group.column(c).take(pa.array(l_idx)) for c in lcols}
-        for c in right_value_cols:
-            out[c] = group.column(c).take(pa.array(r_idx))
-        return pa.table(out)
-
-    return tagged.groupby(on).map_groups(per_group, batch_format="pyarrow")
-
-
-def range_join(left, right, *, on: str, ts: str, lo_us: int, hi_us: int,
-               right_value_cols: list[str], right_ts: str | None = None):
-    """Interval range join: every (left, right) pair of the same ``on``
-    key with ``right_ts`` ∈ [left.ts + lo_us, left.ts + hi_us]
-    (microsecond offsets, inclusive). One row per match.
-
-    Same shape as asof_join — tag + union + one key co-shuffle, then per
-    group a vectorized sort and TWO searchsorted bound lookups; match
-    expansion uses a repeat/arange flattening rather than a Python loop.
-    Output size is data-dependent (each left row may match many right
-    rows); keep the window tight or pre-filter the right side."""
-    left_schema = left.schema()
-    lcols = list(left_schema.names)
-    rv_types = {c: right.schema().base_schema.field(c).type
-                for c in right_value_cols}
-
-    def tag_left(batch: pa.Table) -> pa.Table:
-        cols = {c: batch.column(c) for c in lcols}
-        for c in right_value_cols:
-            cols[c] = pa.nulls(len(batch), rv_types[c])
-        cols["__side"] = pa.array([0] * len(batch), pa.int8())
-        return pa.table(cols)
-
-    def tag_right(batch: pa.Table) -> pa.Table:
-        cols = {}
-        for c in lcols:
-            if c == on:
-                cols[c] = batch.column(on).cast(
-                    left_schema.base_schema.field(on).type)
-            elif c == ts:
-                cols[c] = batch.column(right_ts or ts).cast(
-                    left_schema.base_schema.field(ts).type)
-            else:
-                cols[c] = pa.nulls(len(batch),
-                                   left_schema.base_schema.field(c).type)
-        for c in right_value_cols:
-            cols[c] = batch.column(c)
-        cols["__side"] = pa.array([1] * len(batch), pa.int8())
-        return pa.table(cols)
-
-    tagged = (left.map_batches(tag_left, batch_format="pyarrow")
-              .union(right.map_batches(tag_right, batch_format="pyarrow")))
-
-    def per_group(group: pa.Table) -> pa.Table:
-        side = group.column("__side").to_numpy(zero_copy_only=False)
-        ts_all = group.column(ts).cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
-        l_mask = side == 0
-        r_mask = ~l_mask
-        if not r_mask.any() or not l_mask.any():
-            return group.slice(0, 0).drop_columns(["__side"])
-        r_ts = ts_all[r_mask]
-        r_order = np.argsort(r_ts, kind="stable")
-        r_ts = r_ts[r_order]
-        l_ts = ts_all[l_mask]
-        starts = np.searchsorted(r_ts, l_ts + lo_us, side="left")
-        ends = np.searchsorted(r_ts, l_ts + hi_us, side="right")
-        counts = ends - starts
-        keep = counts > 0
-        # flatten matches: left row i repeated counts[i] times, right
-        # indices are contiguous runs [starts[i], ends[i])
-        l_rows = np.repeat(np.flatnonzero(l_mask)[keep], counts[keep])
-        offs = np.concatenate([np.arange(s, e) for s, e in
-                               zip(starts[keep], ends[keep])]) \
-            if keep.any() else np.array([], dtype=np.int64)
-        r_rows = np.flatnonzero(r_mask)[r_order][offs]
-        out = {c: group.column(c).take(pa.array(l_rows)) for c in lcols}
-        for c in right_value_cols:
-            out[c] = group.column(c).take(pa.array(r_rows))
-        return pa.table(out)
-
-    return tagged.groupby(on).map_groups(per_group, batch_format="pyarrow")
 
 
 def semi_join(left_ds, right_ds, *, on: str, right_on: str | None = None,
@@ -245,63 +57,3 @@ def semi_join(left_ds, right_ds, *, on: str, right_on: str | None = None,
     return _apply_id_filter(left_ds, key_ds, keep=True, id_col=on,
                             broadcast_limit=broadcast_limit,
                             num_partitions=num_partitions)
-
-
-def anti_join(left_ds, right_ds, *, on: str, right_on: str | None = None,
-              broadcast_limit: int = 20_000_000,
-              num_partitions: int = 4_096):
-    """Keep left rows whose ``on`` key does NOT appear in ``right_ds``
-    (NOT EXISTS semantics) — same machinery as semi_join, inverted."""
-    from .dedup import _apply_id_filter
-
-    rk = right_on or on
-
-    def keys(batch: pa.Table) -> pa.Table:
-        return pa.table({"doc_id": batch.column(rk).cast(pa.int64())})
-
-    key_ds = right_ds.map_batches(keys, batch_format="pyarrow").materialize()
-    return _apply_id_filter(left_ds, key_ds, keep=False, id_col=on,
-                            broadcast_limit=broadcast_limit,
-                            num_partitions=num_partitions)
-
-
-def broadcast_lookup_outer(ds, lookup_table: pa.Table, *, key: str,
-                           lookup_key: str, value_cols: list[str]):
-    """LEFT-OUTER form of broadcast_lookup: every left row survives;
-    unmatched rows get NULL value columns. Same broadcast shape (the
-    dimension side is ray.put once, one vectorized searchsorted per
-    batch, zero shuffle)."""
-    import ray
-    import pyarrow.compute as pc
-
-    order = np.argsort(lookup_table.column(lookup_key).to_numpy(
-        zero_copy_only=False))
-    keys = lookup_table.column(lookup_key).to_numpy(
-        zero_copy_only=False)[order]
-    values = {c: lookup_table.column(c).take(pa.array(order))
-              for c in value_cols}
-    types = {c: lookup_table.schema.field(c).type for c in value_cols}
-    if len(keys) > 1 and (keys[1:] == keys[:-1]).any():
-        raise ValueError(
-            "lookup_table has duplicate lookup_key values; searchsorted "
-            "attaches ONE arbitrary match instead of SQL fan-out — "
-            "dedupe the dimension side or use hash_join")
-    ref = ray.put((keys, values))
-
-    def lookup(batch: pa.Table) -> pa.Table:
-        lkeys, lvalues = ray.get(ref)
-        if len(lkeys) == 0:
-            for c in value_cols:
-                batch = batch.append_column(
-                    c, pa.nulls(batch.num_rows, types[c]))
-            return batch
-        ids = batch.column(key).to_numpy(zero_copy_only=False)
-        pos = np.minimum(np.searchsorted(lkeys, ids), len(lkeys) - 1)
-        hit = pa.array(lkeys[pos] == ids)
-        for c in value_cols:
-            taken = lvalues[c].take(pa.array(pos))
-            batch = batch.append_column(
-                c, pc.if_else(hit, taken, pa.nulls(len(ids), types[c])))
-        return batch
-
-    return ds.map_batches(lookup, batch_format="pyarrow")

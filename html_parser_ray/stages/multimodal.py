@@ -1,17 +1,13 @@
-"""Multimodal columns: image / audio / video as opaque ``binary`` payloads
-with typed metadata, decoded and projected by ``DocStage`` task maps.
+"""Multimodal columns: images as opaque ``binary`` payloads with typed
+metadata, decoded and projected by ``DocStage`` task maps.
 
-The container has no codec libraries (no PIL / torchaudio / ffmpeg), so the
-DECODE step is gated behind an import-try: with a real library present the
-stage decodes real bytes; otherwise it falls back to the deterministic FAKE
-container format below (or raises NotImplementedError for foreign bytes).
-The Ray-side plumbing — schema, batch sizing, output layout — is real and
-tested; only the codec call is stubbed.
+PNG, baseline JPEG and the deterministic FAKE container format below
+decode with built-in decoders. Other formats decode through PIL, gated
+behind an import-try, when it is installed, and raise NotImplementedError
+otherwise.
 
 FAKE container format (deterministic, self-describing):
   b"FAKEIMG1" + u16 width + u16 height + u8 channels + pixel bytes
-  b"FAKEAUD1" + u32 sample_rate + u32 n_samples + i16 samples
-  b"FAKEVID1" + u16 width + u16 height + u16 n_frames + frame bytes
 
 Payloads are multi-KB binary cells: batch_size for these stages must be
 sized in BYTES not rows — rows x mean payload well under the worker heap
@@ -31,7 +27,7 @@ from .extract import Decoder, Projection
 
 MEDIA_SCHEMA = pa.schema([
     ("media_id", pa.int64()),
-    ("kind", pa.string()),          # image | audio | video
+    ("kind", pa.string()),          # image
     ("payload", pa.binary()),
     ("source_url", pa.string()),
 ])
@@ -91,41 +87,15 @@ def make_image_payload(media_id: int) -> bytes:
     return b"FAKEIMG1" + struct.pack("<HHB", width, height, channels) + pixels
 
 
-def make_audio_payload(media_id: int) -> bytes:
-    sample_rate = 16_000
-    n_samples = 1024 + (media_id * 31) % 2048
-    t = np.arange(n_samples, dtype=np.float64)
-    freq = 110.0 + (media_id % 40) * 11.0
-    wave = (np.sin(2 * np.pi * freq * t / sample_rate) * 12_000).astype("<i2")
-    return (b"FAKEAUD1" + struct.pack("<II", sample_rate, n_samples)
-            + wave.tobytes())
-
-
-def make_video_payload(media_id: int) -> bytes:
-    width, height = 32, 24
-    n_frames = 8 + (media_id * 3) % 24
-    frame = hashlib.blake2b(struct.pack("<q", media_id),
-                            digest_size=16).digest()
-    reps = (width * height) // 16 + 1
-    frames = ((frame * reps)[:width * height]) * n_frames
-    return (b"FAKEVID1" + struct.pack("<HHH", width, height, n_frames)
-            + frames)
-
-
-def media_table(n_rows: int, start: int = 0) -> pa.Table:
-    kinds = ("image", "audio", "video")
-    makers = (make_image_payload, make_audio_payload, make_video_payload)
-    ids, kind_col, payloads, urls = [], [], [], []
-    for i in range(start, start + n_rows):
-        k = i % 3
-        ids.append(i)
-        kind_col.append(kinds[k])
-        payloads.append(makers[k](i))
-        urls.append(f"https://example.org/media/{i:08d}.{kinds[k][:3]}")
+def media_table(n_rows: int) -> pa.Table:
+    ids = list(range(n_rows))
     return pa.table({"media_id": pa.array(ids, pa.int64()),
-                     "kind": pa.array(kind_col, pa.string()),
-                     "payload": pa.array(payloads, pa.binary()),
-                     "source_url": pa.array(urls, pa.string())},
+                     "kind": pa.array(["image"] * n_rows, pa.string()),
+                     "payload": pa.array([make_image_payload(i) for i in ids],
+                                         pa.binary()),
+                     "source_url": pa.array(
+                         [f"https://example.org/media/{i:08d}.img"
+                          for i in ids], pa.string())},
                     schema=MEDIA_SCHEMA)
 
 
@@ -237,6 +207,8 @@ def decode_png(payload: bytes) -> tuple[int, int, int, np.ndarray]:
 
 def _decode_image(payload: bytes) -> tuple[int, int, int, np.ndarray]:
     if payload.startswith(b"FAKEIMG1"):
+        if len(payload) < 13:
+            raise ValueError(f"torn FAKEIMG1 header: {len(payload)} bytes")
         width, height, channels = struct.unpack_from("<HHB", payload, 8)
         # degenerate dims are a torn/crafted payload: reject them here,
         # as ValueError, since the feature/resize math assumes a
@@ -264,44 +236,13 @@ def _decode_image(payload: bytes) -> tuple[int, int, int, np.ndarray]:
         "WebP/GIF/... need PIL)")
 
 
-def _decode_audio(payload: bytes) -> tuple[int, np.ndarray]:
-    if payload.startswith(b"FAKEAUD1"):
-        if len(payload) < 16:
-            raise ValueError(f"torn FAKEAUD1 header: {len(payload)} bytes")
-        sample_rate, n_samples = struct.unpack_from("<II", payload, 8)
-        if sample_rate == 0:   # the features divide by it
-            raise ValueError("FAKEAUD1 sample_rate is 0")
-        # (np.frombuffer raises ValueError on truncated sample data)
-        samples = np.frombuffer(payload, dtype="<i2", offset=16,
-                                count=n_samples)
-        return sample_rate, samples
-    raise NotImplementedError("real audio codecs unavailable; FAKEAUD1 only")
-
-
-def _decode_video(payload: bytes) -> tuple[int, int, int, bytes]:
-    if payload.startswith(b"FAKEVID1"):
-        if len(payload) < 14:
-            raise ValueError(f"torn FAKEVID1 header: {len(payload)} bytes")
-        width, height, n_frames = struct.unpack_from("<HHH", payload, 8)
-        frames = payload[14:]
-        if len(frames) < width * height * n_frames:
-            raise ValueError(
-                f"truncated FAKEVID1 frames: {len(frames)} bytes for "
-                f"{n_frames} frames of {width}x{height}")
-        return width, height, n_frames, frames
-    raise NotImplementedError("real video codecs unavailable; FAKEVID1 only")
-
-
 # ---------------------------------------------------------------------------
 # decoders and projections: run on DocStage as task maps, e.g.
 # ``ds.map_batches(DocStage(IMAGE_FEATURES, decoder=IMAGE), ...)``
 
 IMAGE = Decoder("payload", _decode_image)
-AUDIO = Decoder("payload", _decode_audio)
-VIDEO = Decoder("payload", _decode_video)
 
 RESIZE = 16  # IMAGE_RESIZE output width and height
-FRAME_STRIDE = 4  # VIDEO_FRAMES samples every FRAME_STRIDE-th frame
 
 
 def _image_features(image) -> list[dict]:
@@ -334,26 +275,6 @@ def _image_resize(image) -> list[dict]:
              "width": RESIZE, "height": RESIZE}]
 
 
-def _audio_features(audio) -> list[dict]:
-    rate, samples = audio
-    f = samples.astype(np.float64) / 32768.0
-    rms = float(np.sqrt((f * f).mean())) if len(f) else 0.0
-    zc = int(((f[:-1] * f[1:]) < 0).sum()) if len(f) > 1 else 0
-    return [{"sample_rate": rate, "n_samples": len(samples),
-             "duration_ms": int(len(samples) * 1000 / rate),
-             "rms_bp": int(round(rms * 10_000)), "zero_crossings": zc}]
-
-
-def _video_frames(video) -> list[dict]:
-    # every FRAME_STRIDE-th frame, re-encoded as a FAKEIMG1 payload
-    w, h, n_frames, data = video
-    frame_size = w * h
-    return [{"frame_index": i,
-             "frame_payload": b"FAKEIMG1" + struct.pack("<HHB", w, h, 1)
-             + data[i * frame_size:(i + 1) * frame_size]}
-            for i in range(0, n_frames, FRAME_STRIDE)]
-
-
 _I = pa.int64()
 
 IMAGE_FEATURES = Projection(pa.schema({
@@ -363,11 +284,3 @@ IMAGE_FEATURES = Projection(pa.schema({
 IMAGE_RESIZE = Projection(pa.schema({
     "payload": pa.binary(), "width": _I, "height": _I,
 }), _image_resize)
-AUDIO_FEATURES = Projection(pa.schema({
-    "sample_rate": _I, "n_samples": _I, "duration_ms": _I, "rms_bp": _I,
-    "zero_crossings": _I,
-}), _audio_features)
-# one row per sampled frame (the explode shape a real frame sampler has)
-VIDEO_FRAMES = Projection(pa.schema({
-    "frame_index": _I, "frame_payload": pa.binary(),
-}), _video_frames)

@@ -856,22 +856,6 @@ def test_url_blocklist_nondefault_port_still_blocked(ray_session):
     assert rows[0]["reason"] == "domain:spam.example.com"
 
 
-def test_broadcast_lookup_rejects_duplicate_dimension_keys(ray_session):
-    import pytest
-    import ray
-    from html_parser_ray.functions.joins import (broadcast_lookup,
-                                                 broadcast_lookup_outer)
-    dup = pa.table({"k": pa.array([2, 2], pa.int64()),
-                    "name": pa.array(["a", "b"], pa.string())})
-    ds = ray.data.from_arrow(pa.table({"k": pa.array([2], pa.int64())}))
-    with pytest.raises(ValueError, match="duplicate"):
-        broadcast_lookup(ds, dup, key="k", lookup_key="k",
-                         value_cols=["name"])
-    with pytest.raises(ValueError, match="duplicate"):
-        broadcast_lookup_outer(ds, dup, key="k", lookup_key="k",
-                               value_cols=["name"])
-
-
 def test_delta_dedup_custom_id_col(ray_session):
     import ray
     from html_parser_ray.functions.dedup import delta_exact_dedup

@@ -1,6 +1,5 @@
-"""Multimodal tests: synthetic media table, decode/feature/resize/
-frame-sample projections on DocStage (codec boundary stubbed, Ray
-plumbing real)."""
+"""Multimodal tests: synthetic media table, image decode/feature/resize
+projections on DocStage (codec boundary stubbed, Ray plumbing real)."""
 
 import struct
 
@@ -9,8 +8,7 @@ import pytest
 
 from html_parser_ray.stages.extract import DocStage
 from html_parser_ray.stages.multimodal import (
-    AUDIO, AUDIO_FEATURES, IMAGE, IMAGE_FEATURES, IMAGE_RESIZE, VIDEO,
-    VIDEO_FRAMES, MEDIA_SCHEMA, make_audio_payload, make_video_payload,
+    IMAGE, IMAGE_FEATURES, IMAGE_RESIZE, MEDIA_SCHEMA, make_image_payload,
     media_table, _decode_image,
 )
 
@@ -31,12 +29,11 @@ def test_media_table_schema_and_determinism():
     t2 = media_table(30)
     assert t1.schema == MEDIA_SCHEMA
     assert t1.equals(t2)
-    assert set(t1.column("kind").to_pylist()) == {"image", "audio", "video"}
+    assert set(t1.column("kind").to_pylist()) == {"image"}
 
 
 def test_image_features_batch():
-    tbl = media_table(30).filter(
-        pa.compute.equal(pa.compute.field("kind"), "image"))
+    tbl = media_table(30)
     out = image_features(tbl)
     assert out.num_rows == tbl.num_rows
     assert set(out.column("status").to_pylist()) == {"ok"}
@@ -50,16 +47,14 @@ def test_image_features_batch():
 
 
 def test_image_features_determinism_and_phash_stability():
-    tbl = media_table(9).filter(
-        pa.compute.equal(pa.compute.field("kind"), "image"))
+    tbl = media_table(9)
     out1 = image_features(tbl)
     out2 = image_features(tbl)
     assert out1.equals(out2)
 
 
 def test_image_resize_roundtrip():
-    tbl = media_table(9).filter(
-        pa.compute.equal(pa.compute.field("kind"), "image"))
+    tbl = media_table(9)
     out = DocStage(IMAGE_RESIZE, decoder=IMAGE)(tbl)
     assert set(out.column("status").to_pylist()) == {"ok"}
     for payload in out.column("payload").to_pylist():
@@ -75,37 +70,9 @@ def test_unknown_codec_quarantined_not_raised():
     assert out.column("error").to_pylist()[0].startswith("ValueError: ")
 
 
-def test_audio_features_batch():
-    tbl = media_table(30).filter(
-        pa.compute.equal(pa.compute.field("kind"), "audio"))
-    out = DocStage(AUDIO_FEATURES, decoder=AUDIO)(tbl)
-    assert set(out.column("status").to_pylist()) == {"ok"}
-    for mid, n in zip(out.column("media_id").to_pylist(),
-                      out.column("n_samples").to_pylist()):
-        assert n == 1024 + (mid * 31) % 2048
-    assert all(v > 0 for v in out.column("rms_bp").to_pylist())
-
-
-def test_video_frame_sample_explodes():
-    tbl = media_table(30).filter(
-        pa.compute.equal(pa.compute.field("kind"), "video"))
-    out = DocStage(VIDEO_FRAMES, decoder=VIDEO)(tbl)
-    by_id: dict[int, list[int]] = {}
-    for mid, idx in zip(out.column("media_id").to_pylist(),
-                        out.column("frame_index").to_pylist()):
-        by_id.setdefault(mid, []).append(idx)
-    for mid, idxs in by_id.items():
-        n_frames = 8 + (mid * 3) % 24
-        assert idxs == list(range(0, n_frames, 4))
-    for payload in out.column("frame_payload").to_pylist():
-        w, h, c, arr = _decode_image(payload)  # frames are FAKEIMG1
-        assert (w, h, c) == (32, 24, 1)
-
-
 def test_image_features_task_map(ray_session):
     import ray
-    tbl = media_table(60).filter(
-        pa.compute.equal(pa.compute.field("kind"), "image"))
+    tbl = media_table(60)
     ds = ray.data.from_arrow(tbl)
     out = pa.Table.from_pylist(ds.map_batches(
         image_features, batch_format="pyarrow", batch_size=8).take_all())
@@ -113,25 +80,22 @@ def test_image_features_task_map(ray_session):
     assert set(out.column("status").to_pylist()) == {"ok"}
 
 
-@pytest.mark.parametrize("decoder,projection,bad,status,error,good", [
-    # a torn header or cut frame data raises ValueError in the decoder
-    (AUDIO, AUDIO_FEATURES, b"FAKEAUD1\x01", "error", "ValueError: ",
-     make_audio_payload(1)),
-    (VIDEO, VIDEO_FRAMES, b"FAKEVID1\x01", "error", "ValueError: ",
-     make_video_payload(1)),
-    (VIDEO, VIDEO_FRAMES, b"RIFF....AVI ", "codec_unavailable",
-     "NotImplementedError: ", make_video_payload(1)),
-    (VIDEO, VIDEO_FRAMES, make_video_payload(1)[:14 + 2 * 32 * 24 + 10],
-     "error", "ValueError: truncated FAKEVID1 frames", make_video_payload(1)),
-    (AUDIO, AUDIO_FEATURES, b"FAKEAUD1" + struct.pack("<II", 0, 4) + bytes(8),
-     "error", "ValueError: FAKEAUD1 sample_rate", make_audio_payload(1)),
+@pytest.mark.parametrize("bad,status,error", [
+    # a torn header, cut pixel data or degenerate dims raise ValueError
+    # in the decoder; foreign bytes raise NotImplementedError
+    (b"FAKEIMG1\x01", "error", "ValueError: torn FAKEIMG1 header"),
+    (make_image_payload(0)[:12], "error",
+     "ValueError: torn FAKEIMG1 header"),
+    (make_image_payload(0)[:13 + 10], "error", "ValueError: "),
+    (b"FAKEIMG1" + struct.pack("<HHB", 0, 4, 3), "error",
+     "ValueError: degenerate image dims"),
+    (b"GIF89a??", "codec_unavailable", "NotImplementedError: "),
 ])
-def test_bad_media_payload_is_one_quarantine_row(decoder, projection, bad,
-                                                 status, error, good):
+def test_bad_media_payload_is_one_quarantine_row(bad, status, error):
     """A payload that fails to decode gives one quarantine row, and the
     rest of the batch still decodes."""
-    rows = DocStage(projection, decoder=decoder)(
-        _media([bad, good], "x")).to_pylist()
+    rows = image_features(
+        _media([bad, make_image_payload(0)], "image")).to_pylist()
     assert rows[0]["media_id"] == 0
     assert rows[0]["status"] == status
     assert rows[0]["error"].startswith(error)

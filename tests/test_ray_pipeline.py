@@ -619,17 +619,16 @@ FIRST_50_QUERIES = [
     "token_counts", "fingerprints", "quality_features", "quality_scores",
     "langid", "repetition_features", "decontam", "nfc_normalize",
     "shuffle_shards", "pack_spans", "grouped_topk", "hll_registers",
-    "url_blocklist", "customers_with_orders", "range_partition",
-    "split_assign", "nation_lookup_outer", "dedup_lines",
-    "customers_without_orders", "pii_redact", "url_canonical",
-    "host_rollup", "stratified_sample", "dedup_spans", "heavy_hitters",
-    "inverted_index", "cms_registers", "bloom_registers", "group_balance",
-    "hll_by_group", "jsonl_roundtrip", "shard_roundtrip", "profile_table",
-    "grouped_quantiles", "global_rank", "host_pagerank", "link_graph",
-    "anchor_rollup", "image_features", "extract_visible_text",
-    "extract_rollup_by_lang", "extract_full", "main_content",
-    "visible_tokens", "outline", "serialize_roundtrip", "chunks",
-    "patch_edit", "warc_extract", "lm_score",
+    "url_blocklist", "range_partition", "split_assign", "dedup_lines",
+    "pii_redact", "url_canonical", "host_rollup", "stratified_sample",
+    "dedup_spans", "heavy_hitters", "inverted_index", "cms_registers",
+    "bloom_registers", "group_balance", "hll_by_group", "jsonl_roundtrip",
+    "shard_roundtrip", "profile_table", "grouped_quantiles", "global_rank",
+    "host_pagerank", "link_graph", "anchor_rollup", "image_features",
+    "extract_visible_text", "extract_rollup_by_lang", "extract_full",
+    "main_content", "visible_tokens", "outline", "serialize_roundtrip",
+    "chunks", "patch_edit", "warc_extract", "lm_score", "distinct_by_lang",
+    "delta_dedup_bloom", "quantiles",
 ]
 
 
@@ -994,9 +993,9 @@ def test_clean_corpus_with_decontamination(ray_session):
     assert sorted(r["doc_id"] for r in kept2.take_all()) == [1, 4]
 
 
-def test_hash_join_and_broadcast_lookup(ray_session):
+def test_hash_join(ray_session):
     import ray
-    from html_parser_ray.functions.joins import broadcast_lookup, hash_join
+    from html_parser_ray.functions.joins import hash_join
     left = ray.data.from_arrow(pa.table({
         "k": pa.array([1, 2, 2, 3, 9], pa.int64()),
         "v": pa.array([10, 20, 21, 30, 90], pa.int64())}))
@@ -1007,79 +1006,6 @@ def test_hash_join_and_broadcast_lookup(ray_session):
                     num_partitions=4).take_all()
     got = sorted((r["k"], r["v"], r["w"]) for r in out)
     assert got == [(1, 10, "a"), (2, 20, "b"), (2, 21, "b"), (3, 30, "c")]
-
-    dim = pa.table({"dk": pa.array([3, 1, 2], pa.int64()),
-                    "name": pa.array(["three", "one", "two"], pa.string())})
-    looked = broadcast_lookup(left, dim, key="k", lookup_key="dk",
-                              value_cols=["name"]).take_all()
-    got2 = sorted((r["k"], r["name"]) for r in looked)
-    assert got2 == [(1, "one"), (2, "two"), (2, "two"), (3, "three")]
-
-
-def test_asof_join_backward_semantics(ray_session):
-    import datetime
-    import ray
-    from html_parser_ray.functions.joins import asof_join
-    b = datetime.datetime(2024, 1, 1)
-
-    def dm(m):
-        return b + datetime.timedelta(minutes=m)
-
-    left = ray.data.from_arrow(pa.table({
-        "user_id": pa.array([1, 1, 2, 3], pa.int64()),
-        "ts": pa.array([dm(10), dm(30), dm(5), dm(1)], pa.timestamp("us")),
-        "event_id": pa.array([100, 101, 102, 103], pa.int64())}))
-    right = ray.data.from_arrow(pa.table({
-        "user_id": pa.array([1, 1, 2], pa.int64()),
-        "ts": pa.array([dm(0), dm(20), dm(50)], pa.timestamp("us")),
-        "signup_ts": pa.array([dm(0), dm(20), dm(50)],
-                              pa.timestamp("us"))}))
-    out = asof_join(left, right, on="user_id", ts="ts",
-                    right_value_cols=["signup_ts"]).take_all()
-    got = sorted((r["event_id"], r["signup_ts"]) for r in out)
-    # 100 -> signup at t0; 101 -> newer signup at t20; 102's only signup
-    # is in the future (dropped); 103's user has no signups (dropped);
-    # an equal timestamp matches (>= semantics)
-    assert got == [(100, dm(0)), (101, dm(20))]
-    # exact-tie: left.ts == right.ts matches
-    tie = asof_join(
-        ray.data.from_arrow(pa.table({
-            "user_id": pa.array([7], pa.int64()),
-            "ts": pa.array([dm(5)], pa.timestamp("us")),
-            "event_id": pa.array([1], pa.int64())})),
-        ray.data.from_arrow(pa.table({
-            "user_id": pa.array([7], pa.int64()),
-            "ts": pa.array([dm(5)], pa.timestamp("us")),
-            "signup_ts": pa.array([dm(5)], pa.timestamp("us"))})),
-        on="user_id", ts="ts", right_value_cols=["signup_ts"]).take_all()
-    assert len(tie) == 1 and tie[0]["signup_ts"] == dm(5)
-
-
-def test_range_join_window_semantics(ray_session):
-    import datetime
-    import ray
-    from html_parser_ray.functions.joins import range_join
-    b = datetime.datetime(2024, 1, 1)
-
-    def dm(m):
-        return b + datetime.timedelta(minutes=m)
-
-    left = ray.data.from_arrow(pa.table({
-        "user_id": pa.array([1, 2], pa.int64()),
-        "ts": pa.array([dm(60), dm(60)], pa.timestamp("us")),
-        "event_id": pa.array([100, 200], pa.int64())}))
-    right = ray.data.from_arrow(pa.table({
-        "user_id": pa.array([1, 1, 1, 1, 2], pa.int64()),
-        "ts": pa.array([dm(49), dm(50), dm(70), dm(71), dm(300)],
-                       pa.timestamp("us")),
-        "rid": pa.array([1, 2, 3, 4, 5], pa.int64())}))
-    out = range_join(left, right, on="user_id", ts="ts",
-                     lo_us=-10 * 60_000_000, hi_us=10 * 60_000_000,
-                     right_value_cols=["rid"]).take_all()
-    got = sorted((r["event_id"], r["rid"]) for r in out)
-    # ±10 min inclusive: rids 2 (t-10) and 3 (t+10) match, 1/4 just
-    # outside, user 2's only candidate is far outside
-    assert got == [(100, 2), (100, 3)]
 
 
 def test_clean_corpus_checkpoint_reuse(ray_session, tmp_path):
@@ -1148,22 +1074,6 @@ def test_clean_corpus_cc_drop_fallback_path(ray_session):
                         broadcast_limit=0).take_all()
     assert sorted(r["doc_id"] for r in rows) == [1]
     assert rows[0]["text"] == long                 # payload intact
-
-
-def test_broadcast_lookup_empty_table(ray_session):
-    # inner-join semantics with an empty lookup side: zero rows, not an
-    # IndexError inside the mapped task (ADVICE r2)
-    import ray
-    from html_parser_ray.functions.joins import broadcast_lookup
-    docs = ray.data.from_arrow(pa.table({
-        "k": pa.array([1, 2], pa.int64()),
-        "x": pa.array(["a", "b"], pa.string())}))
-    lookup = pa.table({"k": pa.array([], pa.int64()),
-                       "v": pa.array([], pa.string())})
-    out = broadcast_lookup(docs, lookup, key="k", lookup_key="k",
-                           value_cols=["v"])
-    assert out.take_all() == []
-    assert set(out.schema().names) == {"k", "x", "v"}
 
 
 def test_embedding_neardup_pairs_zero_row_blocks(ray_session):
@@ -1313,9 +1223,9 @@ def test_dedup_spans_empty_and_whitespace_doc(ray_session):
         assert rows[i]["n_blocks"] == 0 and rows[i]["n_dropped"] == 0
 
 
-def test_semi_anti_join_partition_and_exhaustive(ray_session):
+def test_semi_join_partition_and_exhaustive(ray_session):
     import ray
-    from html_parser_ray.functions.joins import anti_join, semi_join
+    from html_parser_ray.functions.joins import semi_join
     left = pa.table({
         "k": pa.array([1, 2, 3, 4, 5, 6], pa.int64()),
         "v": pa.array(list("abcdef"), pa.string()),
@@ -1325,23 +1235,15 @@ def test_semi_anti_join_partition_and_exhaustive(ray_session):
     rds = ray.data.from_arrow(right)
     semi = sorted(r["k"] for r in semi_join(
         lds, rds, on="k", right_on="rk").take_all())
-    anti = sorted(r["k"] for r in anti_join(
-        lds, rds, on="k", right_on="rk").take_all())
     assert semi == [2, 4]
-    assert anti == [1, 3, 5, 6]
     # forced marker-fallback path gives identical results
     semi_f = sorted(r["k"] for r in semi_join(
         lds, rds, on="k", right_on="rk", broadcast_limit=1,
         num_partitions=4).take_all())
-    anti_f = sorted(r["k"] for r in anti_join(
-        lds, rds, on="k", right_on="rk", broadcast_limit=1,
-        num_partitions=4).take_all())
-    assert semi_f == semi and anti_f == anti
-    # empty right side: semi -> nothing, anti -> everything
+    assert semi_f == semi
+    # empty right side: semi -> nothing
     empty = ray.data.from_arrow(pa.table({"rk": pa.array([], pa.int64())}))
     assert semi_join(lds, empty, on="k", right_on="rk").count() == 0
-    assert sorted(r["k"] for r in anti_join(
-        lds, empty, on="k", right_on="rk").take_all()) == [1, 2, 3, 4, 5, 6]
 
 
 def test_dedup_keep_best_by_score(ray_session):
@@ -1371,24 +1273,6 @@ def test_dedup_keep_best_by_score(ray_session):
         ray.data.from_arrow(scores), num_partitions=4,
         broadcast_limit=1).take_all())
     assert kept_f == kept
-
-
-def test_broadcast_lookup_outer_nulls_and_empty(ray_session):
-    import ray
-    from html_parser_ray.functions.joins import broadcast_lookup_outer
-    left = pa.table({"k": pa.array([1, 2, 3], pa.int64())})
-    lut = pa.table({"lk": pa.array([2], pa.int64()),
-                    "name": pa.array(["two"], pa.string())})
-    rows = {r["k"]: r["name"] for r in broadcast_lookup_outer(
-        ray.data.from_arrow(left), lut, key="k", lookup_key="lk",
-        value_cols=["name"]).take_all()}
-    assert rows == {1: None, 2: "two", 3: None}
-    empty = pa.table({"lk": pa.array([], pa.int64()),
-                      "name": pa.array([], pa.string())})
-    rows2 = broadcast_lookup_outer(ray.data.from_arrow(left), empty,
-                                   key="k", lookup_key="lk",
-                                   value_cols=["name"]).take_all()
-    assert len(rows2) == 3 and all(r["name"] is None for r in rows2)
 
 
 def test_split_assign_ratios_and_stability(ray_session):

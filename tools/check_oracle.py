@@ -14,8 +14,7 @@ import pyarrow as pa
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
-TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
-          "lineitem", "events", "documents", "embeddings"]
+TABLES = ["documents", "embeddings"]
 
 
 def to_pandas(result):
