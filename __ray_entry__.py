@@ -13,15 +13,14 @@ embedding-cosine / connected-components keep-canonical), similarity
 search (brute-force + trained-IVF top-k), text analysis (tokens,
 fingerprints, language-ID, quality), the link-graph layer (DOM href
 extraction / host edges / integer-exact PageRank), deterministic
-sampling, image feature extraction, and the curation/sketch/retrieval
-layers (inverted index, count-min + Bloom + HLL register sketches,
-exact grouped count-distinct, grouped quantiles, group balancing,
-global rank, kNN self-join, grouped embedding centroids, JSONL
-round-trip, Bloom-prefiltered delta dedup). Every query reads only the
-documents and embeddings tables, and every one has a value-checked
-DuckDB oracle (the simhash queries too: their token hash is md5-based —
-md5_number_lower in DuckDB — so the per-bit majority is SQL-expressible
-end to end).
+sampling, and the curation/sketch/retrieval layers (inverted index,
+count-min + Bloom + HLL register sketches, exact grouped count-distinct,
+grouped quantiles, group balancing, global rank, kNN self-join, grouped
+embedding centroids, JSONL round-trip, Bloom-prefiltered delta dedup).
+Every query reads only the documents and embeddings tables, and every one
+has a value-checked DuckDB oracle (the simhash queries too: their token
+hash is md5-based — md5_number_lower in DuckDB — so the per-bit majority
+is SQL-expressible end to end).
 Column names match the SQL aliases exactly (the driver sorts columns by
 name before hashing values), and aggregate sums are CAST to BIGINT so
 DuckDB's HUGEINT does not change the comparison dtype.
@@ -1388,40 +1387,6 @@ def q_patch_edit(sf_dir: str):
     return _wrapped_pages(sf_dir).map_batches(run, batch_format="pyarrow")
 
 
-def _media_from_documents(sf_dir: str):
-    """Deterministic image table keyed by doc_id (media payloads are
-    synthesized — no external data; see stages/multimodal.py)."""
-    from html_parser_ray.stages.multimodal import make_image_payload
-    ds = _read(sf_dir, "documents", columns=["doc_id"])
-
-    def build(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_pylist()
-        return pa.table({
-            "media_id": pa.array(ids, pa.int64()),
-            "kind": pa.array(["image"] * len(ids), pa.string()),
-            "payload": pa.array([make_image_payload(i) for i in ids],
-                                pa.binary()),
-            "source_url": pa.array([f"media://{i}" for i in ids], pa.string()),
-        })
-
-    return ds.map_batches(build, batch_format="pyarrow")
-
-
-def q_image_features(sf_dir: str):
-    """Image decode + feature-extract; dims are derivable from media_id so
-    the decode path is value-checked end to end. The ok rows of a
-    DocStage task map: payloads are KB-sized cells, so 32 rows a batch."""
-    from html_parser_ray.stages.extract import DocStage, ok_rows
-    from html_parser_ray.stages.multimodal import IMAGE, IMAGE_FEATURES
-    out = _media_from_documents(sf_dir).map_batches(
-        DocStage(IMAGE_FEATURES, decoder=IMAGE), batch_format="pyarrow",
-        batch_size=32)
-    return out.map_batches(
-        lambda b: ok_rows(b).select(["media_id", "width", "height",
-                                     "channels"]),
-        batch_format="pyarrow")
-
-
 def q_deterministic_sample(sf_dir: str):
     """hash(id)%10 holdout sampling — the reference's deterministic
     selection pattern as a Dataset op (never random_sample)."""
@@ -1483,7 +1448,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "host_pagerank": q_host_pagerank,
         "link_graph": q_link_graph,
         "anchor_rollup": q_anchor_rollup,
-        "image_features": q_image_features,
         "extract_visible_text": q_extract_visible_text,
         "extract_rollup_by_lang": q_extract_rollup_by_lang,
         "extract_full": q_extract_full,
@@ -2587,10 +2551,6 @@ def oracle_sql() -> dict[str, str]:
             "'>', '&gt;') || "
             "'</p></article></body></html>' AS result, "
             "'ok' AS status FROM documents"
-        ),
-        "image_features": (
-            "SELECT doc_id AS media_id, 16 + (doc_id * 7) % 48 AS width, "
-            "16 + (doc_id * 13) % 48 AS height, 3 AS channels FROM documents"
         ),
         "deterministic_sample": (
             "SELECT doc_id, lang FROM documents WHERE "

@@ -11,8 +11,8 @@ using only the stdlib:
   this one). Stream payloads are delimited by ``stream``/``endstream``
   rather than the /Length entry, which may be an indirect reference.
 - **FlateDecode** via ``zlib`` (the overwhelmingly dominant filter for
-  content streams). Other filters (LZW, DCT, …) are out of scope and
-  skipped.
+  content streams), at most ``MAX_INFLATED_BYTES`` per document. Other
+  filters (LZW, DCT, …) are out of scope and skipped.
 - **Content-stream tokenizer**: literal strings with escape sequences
   and balanced parens, hex strings, arrays, names, numbers, operators.
 - **Text extraction**: BT…ET blocks; Tj / TJ / ' / " show operators; the
@@ -103,9 +103,37 @@ _OBJ_RE = re.compile(rb"(\d+)\s+(\d+)\s+obj\b", re.S)
 _STREAM_RE = re.compile(rb"stream\r?\n")
 _FLATE_RE = re.compile(rb"/Filter\s*(?:\[\s*)?/FlateDecode")
 
+# the bytes all FlateDecode streams of one document may inflate to, the
+# size of DEFAULT_BUDGETS.max_input_bytes: past it the document raises
+# ValueError and is quarantined, where a few-MB zip bomb would grow its
+# worker by GBs
+MAX_INFLATED_BYTES = 64 * 1024 * 1024
+
+
+def _inflate(data: bytes, budget: int) -> bytes | None:
+    """The zlib stream at the start of ``data`` inflated, or None if it is
+    corrupt or does not end in ``data``. Inflates 1 MiB at a time, so it
+    raises ValueError holding at most 1 MiB more than ``budget``."""
+    d = zlib.decompressobj()
+    parts = []
+    try:
+        while not d.eof:
+            parts.append(d.decompress(data, 1 << 20))
+            budget -= len(parts[-1])
+            if budget < 0:
+                raise ValueError(f"FlateDecode streams inflate past "
+                                 f"{MAX_INFLATED_BYTES} bytes")
+            data = d.unconsumed_tail
+            if not parts[-1] and not data and not d.eof:
+                return None
+    except zlib.error:
+        return None
+    return b"".join(parts)
+
 
 def _iter_streams(data: bytes):
     """Yield (dict_bytes, decoded_payload) for every stream object."""
+    inflated = 0
     for m in _OBJ_RE.finditer(data):
         start = m.end()
         endobj = data.find(b"endobj", start)
@@ -130,11 +158,11 @@ def _iter_streams(data: bytes):
                          payload[:-2] if payload.endswith(b"\r\n")
                          else payload,
                          payload):
-                try:
-                    payload = zlib.decompress(cand)
+                out = _inflate(cand, MAX_INFLATED_BYTES - inflated)
+                if out is not None:
+                    payload = out
+                    inflated += len(out)
                     break
-                except zlib.error:
-                    continue
             else:
                 continue
         else:

@@ -3,12 +3,12 @@
 Every per-document output of the engine is a *projection*: a plain
 function of one decoded document. HTML pages decode to a parsed tree
 (visible text, main content, outline, chunks, serialization, the token
-stream, links), PDFs to layout runs, media payloads to pixels, samples or
-frames, and patch inputs to utf-8 text. ``DocStage`` decodes each document
-once with its ``Decoder``, applies each projection it was given to the
-result, and owns the quarantine contract and the output schema, so a
-pipeline that needs several outputs decodes each document once (operator
-fusion over one scan) and no output can quarantine differently.
+stream, links), PDFs to layout runs, and patch inputs to utf-8 text.
+``DocStage`` decodes each document once with its ``Decoder``, applies each
+projection it was given to the result, and owns the quarantine contract
+and the output schema, so a pipeline that needs several outputs decodes
+each document once (operator fusion over one scan) and no output can
+quarantine differently.
 
 It is a stateless callable passed as an INSTANCE to
 ``ds.map_batches(DocStage(...), batch_format="pyarrow")``, so it runs as a
@@ -74,7 +74,7 @@ class Projection(NamedTuple):
     """One output read off a decoded document: ``rows(doc, *carried)``
     returns a list of row dicts keyed by the names of ``fields`` (one row
     per document for per-document outputs, one per entry for outline,
-    chunk, token, link and frame tables). ``reads`` names the carried
+    chunk, token and link tables). ``reads`` names the carried
     input columns whose values for the row follow ``doc`` as arguments."""
     fields: pa.Schema
     rows: Callable[..., list[dict]]
@@ -173,7 +173,6 @@ OUTPUT_SCHEMA = pa.schema(
 # else is "error"
 QUARANTINE_STATUS = (
     (BudgetExceededError, "budget_exceeded"),
-    (NotImplementedError, "codec_unavailable"),
     (PatchPlanningError, "plan_error"),
 )
 
@@ -200,7 +199,6 @@ class DocStage:
     exception               status
     ======================  ===================
     BudgetExceededError     budget_exceeded
-    NotImplementedError     codec_unavailable
     PatchPlanningError      plan_error (its payload code in ``error``)
     anything else           error
     ======================  ===================

@@ -9,6 +9,7 @@ runs of headings and short blocks; the linear-time test bounds its cost on
 those runs by the cost of the parse.
 """
 
+import gc
 import hashlib
 import json
 import pathlib
@@ -178,15 +179,23 @@ def test_classify_is_linear_in_blocks(shape):
     """Segmenting and classifying a page of 16,000 short blocks costs no
     more than parsing it; a classifier that rescans each run of headings
     or short blocks per block takes 2-35x the parse on these pages. Their
-    output is pinned by the ``shape-*`` cases of the golden above."""
+    output is pinned by the ``shape-*`` cases of the golden above. Both
+    steps run with the cyclic collector paused, as DocStage runs them, so
+    a full collection of the parse's garbage is timed in neither."""
     html = _SHAPES[shape].encode()
     parse_s = classify_s = float("inf")
-    for _ in range(3):  # best of three: a shared host is noisy
-        t0 = time.perf_counter()
-        tree = parse_bytes(html, budgets=DEFAULT_BUDGETS)
-        t1 = time.perf_counter()
-        classify_blocks(segment_blocks(tree))
-        t2 = time.perf_counter()
-        parse_s = min(parse_s, t1 - t0)
-        classify_s = min(classify_s, t2 - t1)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(3):  # best of three: a shared host is noisy
+            t0 = time.perf_counter()
+            tree = parse_bytes(html, budgets=DEFAULT_BUDGETS)
+            t1 = time.perf_counter()
+            classify_blocks(segment_blocks(tree))
+            t2 = time.perf_counter()
+            parse_s = min(parse_s, t1 - t0)
+            classify_s = min(classify_s, t2 - t1)
+    finally:
+        if enabled:
+            gc.enable()
     assert classify_s <= parse_s

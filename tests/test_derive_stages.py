@@ -120,6 +120,16 @@ def test_derived_tables_count_failed_pages(projection):
     assert out.column_names == ["url", *projection.fields.names,
                                 "status", "error"]
 
+    # an exception the contract does not name, NotImplementedError among
+    # them, is "error"
+    def unimplemented(cell):
+        raise NotImplementedError("no decoder for this format")
+
+    out = DocStage(projection, decoder=HTML._replace(decode=unimplemented))(
+        deep).to_pylist()
+    assert [(r["status"], r["error"]) for r in out] == [
+        ("error", "NotImplementedError: no decoder for this format")]
+
 
 def test_patch_stage_applies_and_quarantines():
     html = '<div><p class="x">one</p></div>'

@@ -6,12 +6,16 @@ BT/ET text positioning (Td/TD/T*/TL/Tm, Tj/TJ/'/\") and reading-order
 reconstruction.
 """
 
+import tracemalloc
 import zlib
 
 import pyarrow as pa
+import pytest
 
-from html_parser_ray.pdfcore import (extract_pdf_text, make_minimal_pdf,
-                                     pdf_layout_blocks)
+from html_parser_ray.pdfcore import (MAX_INFLATED_BYTES, extract_pdf_text,
+                                     make_minimal_pdf, pdf_layout_blocks)
+from html_parser_ray.stages.extract import DocStage
+from html_parser_ray.stages.pdf_extract import PDF, PDF_TEXT
 
 
 def test_roundtrip_single_line():
@@ -92,6 +96,33 @@ def test_garbage_and_non_text_streams_skipped():
     pdf = (b"%PDF-1.4\n1 0 obj\n<< /Subtype /Image /Length 4 >>\n"
            b"stream\n\x00\x01\x02\x03\nendstream\nendobj\n")
     assert extract_pdf_text(pdf) == ""
+
+
+def test_flate_bomb_raises_within_the_inflate_cap():
+    """One FlateDecode stream of 100 MB of zeros, about 100 KB compressed:
+    the decoder raises ValueError once the output passes the per-document
+    cap, without holding twice the cap, and DocStage quarantines the
+    document as one error row."""
+    c = zlib.compressobj(9)
+    zeros = bytes(1_000_000)
+    body = b"".join(c.compress(zeros) for _ in range(100)) + c.flush()
+    bomb = (b"%%PDF-1.4\n1 0 obj\n<< /Length %d /Filter /FlateDecode >>\n"
+            b"stream\n" % len(body) + body + b"\nendstream\nendobj\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="inflate past"):
+            pdf_layout_blocks(bomb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * MAX_INFLATED_BYTES
+    out = DocStage(PDF_TEXT, decoder=PDF)(pa.table({
+        "doc_id": pa.array([1], pa.int64()),
+        "pdf": pa.array([bomb], pa.binary()),
+    })).to_pylist()
+    assert len(out) == 1
+    assert out[0]["status"] == "error"
+    assert out[0]["error"].startswith("ValueError: FlateDecode")
 
 
 def test_pdf_extract_stage(ray_session):

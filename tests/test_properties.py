@@ -167,30 +167,6 @@ def test_bpe_encode_reconstructs(word, raw_merges):
     assert "".join(pieces) == word + END
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=1, max_value=40),
-       st.integers(min_value=1, max_value=40),
-       st.sampled_from([0, 2, 6]),
-       st.lists(st.sampled_from([0, 1, 2, 3, 4]), min_size=1, max_size=6),
-       st.integers(min_value=0, max_value=2**32 - 1))
-def test_png_bridge_roundtrip_property(w, h, color, filters, seed):
-    """decode_png(encode(arr, any filter schedule)) == arr for arbitrary
-    sizes/colors — the filter reconstruction is exact, not just on the
-    authored cases."""
-    import numpy as np
-    from html_parser_ray.stages.multimodal import decode_png
-    from tests.test_multimodal import _encode_png
-    c = {0: 1, 2: 3, 6: 4}[color]
-    rng = np.random.default_rng(seed)
-    arr = rng.integers(0, 256, size=(h, w, c), dtype=np.uint8)
-    dw, dh, dc, got = decode_png(_encode_png(arr, color, filters))
-    assert (dw, dh, dc) == (w, h, 3)
-    if c == 1:
-        assert np.array_equal(got, np.repeat(arr, 3, axis=2))
-    else:
-        assert np.array_equal(got, arr[:, :, :3])
-
-
 @settings(max_examples=25, deadline=None)
 @given(texts=st.lists(st.text(
     alphabet=st.sampled_from("ab cd"), max_size=30), max_size=8),

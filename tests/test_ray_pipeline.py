@@ -462,54 +462,45 @@ def test_resumable_extract_resumes_after_driver_sigkill(
 @pytest.mark.parametrize("job,num_cpus", [
     pytest.param("run_extract", 1, id="1"),
     pytest.param("run_extract", 2, id="2"),
-    pytest.param("pdf_image", 1, id="pdf_image-1"),
-    pytest.param("pdf_image", 2, id="pdf_image-2"),
+    pytest.param("pdf", 1, id="pdf-1"),
+    pytest.param("pdf", 2, id="pdf-2"),
 ])
 def test_run_extract_completes_at_low_cpu_counts(tmp_path, job, num_cpus):
-    """run_extract, and the PDF and image task maps, finish with their
-    defaults on a 1- and a 2-CPU cluster (a stage that reserves CPUs up
-    front starves the read and hangs there). Each runs in a child process
-    with its own Ray cluster of exactly that size; the timeout turns a
-    hang into a failure. Every input row must come out ok."""
+    """run_extract, and the PDF task map, finish with their defaults on a
+    1- and a 2-CPU cluster (a stage that reserves CPUs up front starves
+    the read and hangs there). Each runs in a child process with its own
+    Ray cluster of exactly that size; the timeout turns a hang into a
+    failure. Every input row must come out ok."""
     import signal
     import subprocess
     import sys as _sys
 
     from html_parser_ray.pdfcore import make_minimal_pdf
     from html_parser_ray.sources.synth import write_pages_parquet
-    from html_parser_ray.stages.multimodal import make_image_payload
 
     in_dir = tmp_path / "in"
     out_dir = tmp_path / "out"
     os.makedirs(in_dir)
     if job == "run_extract":
-        key, outputs = "url", [out_dir]
+        key = "url"
         for i in range(4):
             write_pages_parquet(str(in_dir / f"{i}.parquet"), 20,
                                 seed=i + 1, start=i * 20)
         run = ("from html_parser_ray.pipelines.extract import run_extract\n"
                "run_extract(IN, OUT)\n")
     else:
-        key, outputs = "doc_id", [out_dir / "pdf", out_dir / "image"]
+        key = "doc_id"
         for i in range(4):
             ids = range(i * 10, i * 10 + 10)
             pq.write_table(pa.table({
                 "doc_id": pa.array(ids, pa.int64()),
                 "pdf": pa.array([make_minimal_pdf(f"doc {d}") for d in ids],
                                 pa.binary()),
-                "payload": pa.array([make_image_payload(d) for d in ids],
-                                    pa.binary()),
             }), str(in_dir / f"{i}.parquet"))
-        run = ("from html_parser_ray.stages.extract import DocStage\n"
-               "from html_parser_ray.stages.multimodal import (\n"
-               "    IMAGE, IMAGE_FEATURES)\n"
-               "from html_parser_ray.stages.pdf_extract import (\n"
+        run = ("from html_parser_ray.stages.pdf_extract import (\n"
                "    pdf_extract_pages)\n"
-               "docs = ray.data.read_parquet(IN)\n"
-               "pdf_extract_pages(docs).write_parquet(OUT + '/pdf')\n"
-               "docs.map_batches(DocStage(IMAGE_FEATURES, decoder=IMAGE),\n"
-               "                 batch_format='pyarrow', batch_size=32\n"
-               "                 ).write_parquet(OUT + '/image')\n")
+               "pdf_extract_pages(ray.data.read_parquet(IN)"
+               ").write_parquet(OUT)\n")
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     child_src = (
         "import ray, sys\n"
@@ -532,10 +523,9 @@ def test_run_extract_completes_at_low_cpu_counts(tmp_path, job, num_cpus):
             child.wait()
     expected = sorted(pq.read_table(in_dir, columns=[key])
                       .column(key).to_pylist())
-    for out in outputs:
-        written = pq.read_table(out, columns=[key, "status"])
-        assert sorted(written.column(key).to_pylist()) == expected
-        assert set(written.column("status").to_pylist()) == {"ok"}
+    written = pq.read_table(out_dir, columns=[key, "status"])
+    assert sorted(written.column(key).to_pylist()) == expected
+    assert set(written.column("status").to_pylist()) == {"ok"}
 
 
 def test_exact_dedup_dataset(ray_session):
@@ -624,11 +614,11 @@ FIRST_50_QUERIES = [
     "dedup_spans", "heavy_hitters", "inverted_index", "cms_registers",
     "bloom_registers", "group_balance", "hll_by_group", "jsonl_roundtrip",
     "shard_roundtrip", "profile_table", "grouped_quantiles", "global_rank",
-    "host_pagerank", "link_graph", "anchor_rollup", "image_features",
-    "extract_visible_text", "extract_rollup_by_lang", "extract_full",
-    "main_content", "visible_tokens", "outline", "serialize_roundtrip",
-    "chunks", "patch_edit", "warc_extract", "lm_score", "distinct_by_lang",
-    "delta_dedup_bloom", "quantiles",
+    "host_pagerank", "link_graph", "anchor_rollup", "extract_visible_text",
+    "extract_rollup_by_lang", "extract_full", "main_content",
+    "visible_tokens", "outline", "serialize_roundtrip", "chunks",
+    "patch_edit", "warc_extract", "lm_score", "distinct_by_lang",
+    "delta_dedup_bloom", "quantiles", "top_terms",
 ]
 
 
