@@ -14,9 +14,10 @@ BMP-only input — divergence documented in SURVEY.md §7.4).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
-from .dom import Document, DocumentFragment, Element, Text, Comment, Doctype, HTML_NS
+from .dom import Element, Text, HTML_NS
 from .sniff import decode_html_bytes, SniffResult
 from .treebuilder import TreeBuilder
 from .tokenizer import normalize_newlines
@@ -59,8 +60,9 @@ class ParseError:
 
 @dataclass
 class ParseTree:
-    """Document or fragment result. ``children`` are htmlcore DOM nodes that
-    carry ``nid`` (post-order NodeId) assigned by this layer via ``ids``."""
+    """Document or fragment result. ``children`` are htmlcore DOM nodes;
+    their post-order NodeIds live in ``ids`` (node -> id) and ``by_id``
+    (id -> node), both built on first use."""
     kind: str                       # "document" | "fragment"
     id: int                         # NodeId of the root (always 1)
     children: list
@@ -73,6 +75,7 @@ class ParseTree:
     _ids: dict[int, int] | None = None       # id(node) -> NodeId (lazy)
     _by_id: dict[int, object] | None = None  # NodeId -> node (lazy)
     trace: list | None = None                # seq-ordered trace events
+    encoding: SniffResult | None = None      # set for byte input
 
     @property
     def ids(self) -> dict[int, int]:
@@ -233,45 +236,35 @@ def _compute_metrics(children: list) -> tuple[int, int]:
     return total, max_depth
 
 
-def _record_tree_budget_errors(children: list, budgets: Budgets | None,
-                               errors: list[ParseError]) -> None:
-    if budgets is None:
+def _record_attribute_budget_errors(children: list, budgets: Budgets | None,
+                                    errors: list[ParseError]) -> None:
+    """Attribute budgets are recorded, not raised, one error per offending
+    element in document order. The node and depth budgets raise instead,
+    from ``_compute_metrics``' counts."""
+    max_attrs = budgets.max_attributes_per_element if budgets else None
+    max_attr_bytes = budgets.max_attribute_bytes if budgets else None
+    if max_attrs is None and max_attr_bytes is None:
         return
-    max_nodes = budgets.max_nodes
-    max_depth = budgets.max_depth
-    max_attrs = budgets.max_attributes_per_element
-    max_attr_bytes = budgets.max_attribute_bytes
-    if max_nodes is None and max_depth is None and max_attrs is None and max_attr_bytes is None:
-        return
-    count = 0
 
     def budget_error(code: str) -> ParseError:
         # codes match the WHATWG id pattern, so normalization emits them
         # bare — like the reference's normalizeParseErrorId (mod.ts:260-269)
         return ParseError("PARSER_ERROR", normalize_parse_error_id(code), code)
 
-    # iterative pre-order (reversed pushes preserve the recursive
-    # emission order exactly) — one frame per node blew the recursion
-    # limit on deep-but-in-budget documents
-    stack = [(c, 0) for c in reversed(children)]
+    # iterative pre-order (reversed pushes keep document order) — one
+    # frame per node blew the recursion limit on deep-but-in-budget trees
+    stack = list(reversed(children))
     while stack:
-        node, depth = stack.pop()
-        if isinstance(node, Element):
-            if max_attrs is not None and len(node.attrs) > max_attrs:
-                errors.append(
-                    budget_error("max-attributes-per-element-exceeded"))
-            if max_attr_bytes is not None:
-                total = sum(len(n) + len(v) for n, v in node.attrs)
-                if total > max_attr_bytes:
-                    errors.append(budget_error("max-attribute-bytes-exceeded"))
-        count += 1
-        if max_depth is not None and depth > max_depth:
-            errors.append(budget_error("max-depth-exceeded"))
-        if max_nodes is not None and count > max_nodes:
-            errors.append(budget_error("max-nodes-exceeded"))
-        if isinstance(node, Element):
-            for child in reversed(node.children):
-                stack.append((child, depth + 1))
+        node = stack.pop()
+        if not isinstance(node, Element):
+            continue
+        if max_attrs is not None and len(node.attrs) > max_attrs:
+            errors.append(budget_error("max-attributes-per-element-exceeded"))
+        if (max_attr_bytes is not None
+                and sum(len(n) + len(v) for n, v in node.attrs)
+                > max_attr_bytes):
+            errors.append(budget_error("max-attribute-bytes-exceeded"))
+        stack.extend(reversed(node.children))
 
 
 def _enforce(budget: str, limit: int | None, actual: int) -> None:
@@ -370,39 +363,8 @@ def parse(html: str, *, scripting_enabled: bool = True,
     / astral chars before the offset. patch.compute_patch maps spans back
     to the original string where byte-accurate editing is required.
     """
-    ensure_recursion_headroom()
-    _enforce("maxInputBytes",
-             budgets.max_input_bytes if budgets else None, len(html))
-    time_start = _time_budget_start(budgets)
-    text, _removed = normalize_newlines(html)
-    sink = None
-    if trace:
-        from .trace import TraceSink, TracingTreeBuilder
-        sink = TraceSink(budgets.max_trace_events if budgets else None,
-                         budgets.max_trace_bytes if budgets else None)
-        builder = TracingTreeBuilder(sink,
-                                     scripting_enabled=scripting_enabled,
-                                     capture_spans=capture_spans)
-    else:
-        builder = TreeBuilder(scripting_enabled=scripting_enabled,
-                              capture_spans=capture_spans)
-    doc = builder.parse(text)
-    if builder.saw_select:   # patch targets select/option pairs only
-        _patch_select_adoption(doc)
-    errors = _collect_errors(builder, builder.tokenizer.errors)
-    _record_tree_budget_errors(doc.children, budgets, errors)
-    n_nodes, max_depth = _compute_metrics(doc.children)
-    _enforce("maxNodes", budgets.max_nodes if budgets else None, n_nodes)
-    _enforce("maxDepth", budgets.max_depth if budgets else None, max_depth)
-    _enforce_time(budgets, time_start)
-    trace_events = None
-    if sink is not None:
-        sink.push("token", count=getattr(builder, "_token_count", 0))
-        for err in errors:
-            sink.push("parseError", parseErrorId=err.parse_error_id)
-        trace_events = sink.events
-    return ParseTree("document", 1, doc.children, errors, doc.quirks_mode,
-                     n_nodes, max_depth, None, text, trace=trace_events)
+    return _parse_tree(html, None, scripting_enabled, capture_spans,
+                       budgets, trace)
 
 
 def parse_bytes(data: bytes, *, transport_encoding_label: str | None = None,
@@ -411,13 +373,29 @@ def parse_bytes(data: bytes, *, transport_encoding_label: str | None = None,
                 trace: bool = False) -> ParseTree:
     _enforce("maxInputBytes",
              budgets.max_input_bytes if budgets else None, len(data))
+    return parse_decoded(
+        lambda: decode_html_bytes(data, transport_encoding_label),
+        scripting_enabled=scripting_enabled, capture_spans=capture_spans,
+        budgets=budgets, trace=trace)
+
+
+def parse_decoded(decode: Callable[[], tuple[str, SniffResult]], *,
+                  scripting_enabled: bool = True,
+                  capture_spans: bool = False,
+                  budgets: Budgets | None = None,
+                  trace: bool = False) -> ParseTree:
+    """The step after byte input is read, shared by ``parse_bytes`` and
+    ``stream.parse_stream``: ``decode()`` returns the text and its sniff
+    result; the text is parsed, ``max_time_ms`` is checked over decode and
+    parse together (mod.ts:546/722), and the sniff result is attached as
+    ``tree.encoding``."""
     time_start = _time_budget_start(budgets)
-    text, sniff = decode_html_bytes(data, transport_encoding_label)
+    text, sniff = decode()
     tree = parse(text, scripting_enabled=scripting_enabled,
                  capture_spans=capture_spans, budgets=budgets, trace=trace)
-    _enforce_time(budgets, time_start)  # decode + parse (mod.ts:722)
-    tree.encoding = sniff  # type: ignore[attr-defined]
-    if trace and tree.trace is not None:
+    _enforce_time(budgets, time_start)
+    tree.encoding = sniff
+    if tree.trace is not None:
         # decode trace appended after parse, as the reference does
         # (mod.ts:611-633)
         seq = (tree.trace[-1]["seq"] + 1) if tree.trace else 1
@@ -475,14 +453,22 @@ def parse_fragment(html: str, context_tag_name: str, *,
     normalized_context = context_tag_name.strip().lower()
     if not normalized_context:
         raise ValueError("contextTagName must be a non-empty tag name")
+    return _parse_tree(html, normalized_context, scripting_enabled,
+                       capture_spans, budgets, trace)
+
+
+def _parse_tree(html: str, context_tag_name: str | None,
+                scripting_enabled: bool, capture_spans: bool,
+                budgets: Budgets | None, trace: bool) -> ParseTree:
+    """Build, check and return a document (``context_tag_name`` None) or a
+    fragment in that context: input and time budgets, the select patch,
+    the public error stream, attribute budgets, metrics, the node and
+    depth budgets, and the trace epilogue."""
     ensure_recursion_headroom()
     _enforce("maxInputBytes",
              budgets.max_input_bytes if budgets else None, len(html))
     time_start = _time_budget_start(budgets)
     text, _removed = normalize_newlines(html)
-    context = _create_fragment_context(normalized_context)
-    if context is None:
-        context = Element("template", HTML_NS)
     sink = None
     if trace:
         # the reference's fragment path wires the same trace channel as
@@ -496,21 +482,28 @@ def parse_fragment(html: str, context_tag_name: str, *,
     else:
         builder = TreeBuilder(scripting_enabled=scripting_enabled,
                               capture_spans=capture_spans)
-    frag = builder.parse_fragment(text, context)
+    if context_tag_name is None:
+        root = builder.parse(text)
+        kind, quirks_mode = "document", root.quirks_mode
+    else:
+        context = _create_fragment_context(context_tag_name)
+        if context is None:
+            context = Element("template", HTML_NS)
+        root = builder.parse_fragment(text, context)
+        kind, quirks_mode = "fragment", "no-quirks"
     if builder.saw_select:   # patch targets select/option pairs only
-        _patch_select_adoption(frag)
+        _patch_select_adoption(root)
     errors = _collect_errors(builder, builder.tokenizer.errors)
-    _record_tree_budget_errors(frag.children, budgets, errors)
-    n_nodes, max_depth = _compute_metrics(frag.children)
+    _record_attribute_budget_errors(root.children, budgets, errors)
+    n_nodes, max_depth = _compute_metrics(root.children)
     _enforce("maxNodes", budgets.max_nodes if budgets else None, n_nodes)
     _enforce("maxDepth", budgets.max_depth if budgets else None, max_depth)
-    _enforce_time(budgets, time_start)  # mod.ts:820
+    _enforce_time(budgets, time_start)  # mod.ts:545, :820
     trace_events = None
     if sink is not None:
         sink.push("token", count=getattr(builder, "_token_count", 0))
         for err in errors:
             sink.push("parseError", parseErrorId=err.parse_error_id)
         trace_events = sink.events
-    return ParseTree("fragment", 1, frag.children, errors, "no-quirks",
-                     n_nodes, max_depth, normalized_context, text,
-                     trace=trace_events)
+    return ParseTree(kind, 1, root.children, errors, quirks_mode, n_nodes,
+                     max_depth, context_tag_name, text, trace=trace_events)

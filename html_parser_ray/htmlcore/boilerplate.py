@@ -21,7 +21,7 @@ public):
      boilerplate (menus, pagination, tag clouds);
    - a heading block (h1–h6) is content iff the next non-heading block
      is content (classic heading-promotion rule);
-   - otherwise a block is content iff it has ≥ ``min_words`` words;
+   - otherwise a block is content iff it has ≥ ``MIN_WORDS`` words;
    - **smoothing**: a short non-heading block squeezed between two
      content blocks is promoted (caption / single-sentence paragraphs).
 3. **Emit**: content blocks joined with blank lines.
@@ -47,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dom import HTML_NS, Element, Text
-from .extract import VisibleTextOptions, _collapse_ws, _is_hidden
+from .extract import DEFAULT_OPTIONS, _collapse_ws, _is_hidden
 
 BLOCK_TAGS = frozenset("""
 address article aside blockquote caption dd details dialog dir div dl dt
@@ -64,6 +64,11 @@ CHROME_TAGS = frozenset(["nav", "header", "footer", "aside", "form", "menu"])
 _SKIP_TAGS = frozenset(["script", "style", "template", "noscript", "iframe",
                         "object", "embed", "select", "datalist"])
 
+# a non-heading block needs this many words to be content on its own
+MIN_WORDS = 5
+# link density, in basis points, from which a block is boilerplate
+MAX_LINK_DENSITY_BP = 5_000
+
 
 @dataclass(slots=True)
 class Block:
@@ -75,12 +80,10 @@ class Block:
     is_content: bool = False      # set by classify_blocks
 
 
-def segment_blocks(root, options: VisibleTextOptions = VisibleTextOptions()
-                   ) -> list[Block]:
+def segment_blocks(root) -> list[Block]:
     """Element tree → document-order text blocks (empty blocks dropped)."""
     order: list[tuple[Block, list[str]]] = []
     path: list[str] = []
-    skip_hidden = options.skip_hidden_subtrees
 
     def walk(children: list, cur: Block | None, parts: list[str],
              in_link: bool, in_chrome: bool) -> None:
@@ -104,7 +107,7 @@ def segment_blocks(root, options: VisibleTextOptions = VisibleTextOptions()
             name = child.name.lower() if html else child.name
             if html and name in _SKIP_TAGS:
                 continue
-            if skip_hidden and child.attrs and _is_hidden(child, options):
+            if child.attrs and _is_hidden(child, DEFAULT_OPTIONS):
                 continue
             path.append(name)
             chrome = in_chrome or name in CHROME_TAGS
@@ -130,8 +133,7 @@ def segment_blocks(root, options: VisibleTextOptions = VisibleTextOptions()
     return blocks
 
 
-def classify_blocks(blocks: list[Block], *, min_words: int = 5,
-                    max_link_density_bp: int = 5_000) -> list[Block]:
+def classify_blocks(blocks: list[Block]) -> list[Block]:
     """Mark each block's ``is_content`` in place and return the list."""
     # right to left: the scoring rules, heading promotion against the
     # nearest non-heading block after, and, for each short block, whether
@@ -144,12 +146,12 @@ def classify_blocks(blocks: list[Block], *, min_words: int = 5,
         chars = len(b.text)
         density_bp = (10_000 if chars == 0
                       else min(10_000, (b.link_chars * 10_000) // chars))
-        if b.in_chrome or density_bp >= max_link_density_bp:
+        if b.in_chrome or density_bp >= MAX_LINK_DENSITY_BP:
             good = after_good = False
         elif b.tag in HEADING_TAGS:
             good = after_good
-        # words >= min_words, splitting off no more than min_words words
-        elif len(b.text.split(None, min_words - 1)) >= min_words:
+        # words >= MIN_WORDS, splitting off no more than MIN_WORDS words
+        elif len(b.text.split(None, MIN_WORDS - 1)) >= MIN_WORDS:
             good = after_good = True
         else:
             after_good = False
@@ -167,24 +169,9 @@ def classify_blocks(blocks: list[Block], *, min_words: int = 5,
     return blocks
 
 
-def main_content_and_counts(
-        root, *, min_words: int = 5, max_link_density_bp: int = 5_000,
-        options: VisibleTextOptions = VisibleTextOptions()
-) -> tuple[str, int, int]:
+def main_content_and_counts(root) -> tuple[str, int, int]:
     """Parsed tree → (main-content text, blocks, content blocks); the text
     is the content blocks joined by blank lines."""
-    blocks = classify_blocks(
-        segment_blocks(root, options), min_words=min_words,
-        max_link_density_bp=max_link_density_bp)
+    blocks = classify_blocks(segment_blocks(root))
     content = [b.text for b in blocks if b.is_content]
     return "\n\n".join(content), len(blocks), len(content)
-
-
-def main_content(root, *, min_words: int = 5,
-                 max_link_density_bp: int = 5_000,
-                 options: VisibleTextOptions = VisibleTextOptions()) -> str:
-    """Parsed tree → main-content text (content blocks joined by blank
-    lines)."""
-    return main_content_and_counts(
-        root, min_words=min_words, max_link_density_bp=max_link_density_bp,
-        options=options)[0]

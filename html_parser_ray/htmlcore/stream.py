@@ -22,7 +22,7 @@ from __future__ import annotations
 import codecs
 from collections.abc import Iterable
 
-from .api import Budgets, BudgetExceededError, ParseTree, parse
+from .api import Budgets, BudgetExceededError, ParseTree, parse_decoded
 from .sniff import (PRESCAN_BYTES_DEFAULT, SniffResult, sniff_html_encoding,
                     _CP1252_TRANSLATE, _PY_CODECS, _XUD_TRANSLATE)
 
@@ -132,15 +132,11 @@ def parse_stream(
     budgets: Budgets | None = None,
 ) -> ParseTree:
     """Chunked-bytes analog of ``parse_bytes`` — identical output."""
-    from .api import _enforce_time, _time_budget_start
-    time_start = _time_budget_start(budgets)
-    text, sniff = decode_stream_to_text(chunks, transport_encoding_label,
-                                        budgets)
-    tree = parse(text, scripting_enabled=scripting_enabled,
-                 capture_spans=capture_spans, budgets=budgets)
-    _enforce_time(budgets, time_start)  # decode + parse (mod.ts:546/722)
-    tree.encoding = sniff
-    return tree
+    return parse_decoded(
+        lambda: decode_stream_to_text(chunks, transport_encoding_label,
+                                      budgets),
+        scripting_enabled=scripting_enabled, capture_spans=capture_spans,
+        budgets=budgets)
 
 
 def tokenize_stream(

@@ -132,20 +132,33 @@ def _inflate(data: bytes, budget: int) -> bytes | None:
 
 
 def _iter_streams(data: bytes):
-    """Yield (dict_bytes, decoded_payload) for every stream object."""
+    """Yield (dict_bytes, decoded_payload) for every stream object.
+
+    The keyword searches make one pass over the document: the next
+    ``endobj``, ``stream`` and ``endstream`` found are kept and searched
+    for again only once a header lies past them, and a keyword missing
+    after one header is missing after every later one, which ends the
+    scan."""
     inflated = 0
+    endobj = payload_end = -1
+    sm = None
     for m in _OBJ_RE.finditer(data):
         start = m.end()
-        endobj = data.find(b"endobj", start)
-        if endobj < 0:
-            continue
-        sm = _STREAM_RE.search(data, start, endobj)
-        if sm is None:
+        if endobj < start:
+            endobj = data.find(b"endobj", start)
+            if endobj < 0:
+                return
+        if sm is None or sm.start() < start:
+            sm = _STREAM_RE.search(data, start)
+            if sm is None:
+                return
+        if sm.end() > endobj:   # no stream inside this object
             continue
         payload_start = sm.end()
-        payload_end = data.find(b"endstream", payload_start)
-        if payload_end < 0:
-            continue
+        if payload_end < payload_start:
+            payload_end = data.find(b"endstream", payload_start)
+            if payload_end < 0:
+                return
         head = data[start:sm.start()]
         payload = data[payload_start:payload_end]
         if _FLATE_RE.search(head):

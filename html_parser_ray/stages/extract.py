@@ -43,7 +43,9 @@ from ..htmlcore.patch import PatchPlanningError, compute_patch
 
 # per-row resource guards, generous enough for real pages, tight enough to
 # bound worst-case memory/CPU per task (reference budget model:
-# src/public/types.ts:31-39; here trips are recorded, not raised)
+# src/public/types.ts:31-39). An input, node or depth trip raises
+# BudgetExceededError and quarantines the row as budget_exceeded; only the
+# attribute budgets, which these leave unset, are recorded instead.
 DEFAULT_BUDGETS = Budgets(max_input_bytes=64 * 1024 * 1024,
                           max_nodes=2_000_000, max_depth=4_096)
 

@@ -20,7 +20,6 @@ import pytest
 
 from html_parser_ray.htmlcore.api import parse, parse_bytes
 from html_parser_ray.htmlcore.boilerplate import (classify_blocks,
-                                                  main_content,
                                                   main_content_and_counts,
                                                   segment_blocks)
 from html_parser_ray.sources.synth import make_table
@@ -66,8 +65,8 @@ def _row(html: bytes):
     return main_content_and_counts(parse_bytes(html, budgets=DEFAULT_BUDGETS))
 
 
-def _blocks(html, **kw):
-    return classify_blocks(segment_blocks(parse(html)), **kw)
+def _blocks(html):
+    return classify_blocks(segment_blocks(parse(html)))
 
 
 def test_segment_nearest_block_ancestor():
@@ -141,7 +140,7 @@ def test_main_content_end_to_end():
             "<article><h1>Story</h1><p>the story body has plenty of words "
             "to qualify as content</p></article>"
             "<footer><p>copyright words</p></footer>")
-    out = main_content(parse(html))
+    out = main_content_and_counts(parse(html))[0]
     assert out == ("Story\n\nthe story body has plenty of words to "
                    "qualify as content")
 

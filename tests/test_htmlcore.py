@@ -196,26 +196,35 @@ def test_budget_max_nodes_raises():
     assert exc_info.value.payload["budget"] == "maxNodes"
 
 
+def _parse_in_div(html, **kw):
+    return parse_fragment(html, "div", **kw)
+
+
 def test_budget_max_nodes_boundary():
-    # a tree of exactly max_nodes nodes (the document node included)
-    # parses; one node more raises with the tree's node count as actual
+    # a tree of exactly max_nodes nodes (the root node included) parses;
+    # one node more raises with the tree's node count as actual — for a
+    # document and for a fragment
     def page(k):
         return "<span></span>" * k
 
-    limit = parse(page(20)).n_nodes
-    assert parse(page(20), budgets=Budgets(max_nodes=limit)).n_nodes == limit
-    with pytest.raises(BudgetExceededError) as exc_info:
-        parse(page(21), budgets=Budgets(max_nodes=limit))
-    assert exc_info.value.payload == {"code": "BUDGET_EXCEEDED",
-                                      "budget": "maxNodes", "limit": limit,
-                                      "actual": limit + 1}
+    for parse_fn in (parse, _parse_in_div):
+        limit = parse_fn(page(20)).n_nodes
+        assert parse_fn(page(20),
+                        budgets=Budgets(max_nodes=limit)).n_nodes == limit
+        with pytest.raises(BudgetExceededError) as exc_info:
+            parse_fn(page(21), budgets=Budgets(max_nodes=limit))
+        assert exc_info.value.payload == {"code": "BUDGET_EXCEEDED",
+                                          "budget": "maxNodes",
+                                          "limit": limit,
+                                          "actual": limit + 1}
 
 
 def test_budget_max_depth_raises():
     html = "<div>" * 100 + "deep"
-    with pytest.raises(BudgetExceededError) as exc_info:
-        parse(html, budgets=Budgets(max_depth=10))
-    assert exc_info.value.payload["budget"] == "maxDepth"
+    for parse_fn in (parse, _parse_in_div):
+        with pytest.raises(BudgetExceededError) as exc_info:
+            parse_fn(html, budgets=Budgets(max_depth=10))
+        assert exc_info.value.payload["budget"] == "maxDepth"
 
 
 def test_budget_max_time_ms_enforced():
@@ -239,11 +248,34 @@ def test_budget_max_time_ms_enforced():
 def test_tree_budget_error_ids_are_bare_whatwg_style():
     # recorded (not raised) tree budgets: ids match the WHATWG pattern so
     # normalization emits them bare, not vendor:-prefixed (ADVICE r01)
+    def budget_ids(tree):
+        return [e.parse_error_id for e in tree.errors
+                if "max-" in e.parse_error_id]
+
     tree = parse("<div a='1' b='2' c='3'>x</div>",
                  budgets=Budgets(max_attributes_per_element=2))
     ids = [e.parse_error_id for e in tree.errors]
     assert "max-attributes-per-element-exceeded" in ids
     assert not any(i.startswith("vendor:max-") for i in ids)
+    # attribute bytes count names and values
+    tree = parse("<div title='0123456789'>x</div>",
+                 budgets=Budgets(max_attribute_bytes=14))
+    assert budget_ids(tree) == ["max-attribute-bytes-exceeded"]
+    assert budget_ids(parse("<div title='012345678'>x</div>",
+                            budgets=Budgets(max_attribute_bytes=14))) == []
+    # the fragment path records them too
+    tree = parse_fragment("<a x y z>t</a>", "div",
+                          budgets=Budgets(max_attributes_per_element=2))
+    assert budget_ids(tree) == ["max-attributes-per-element-exceeded"]
+    # nested offenders report in document order, outer element first
+    budgets = Budgets(max_attributes_per_element=2, max_attribute_bytes=20)
+    many, long = "a b c", "title='" + "x" * 30 + "'"
+    tree = parse(f"<div {many}><p {long}>x</p></div>", budgets=budgets)
+    assert budget_ids(tree) == ["max-attributes-per-element-exceeded",
+                                "max-attribute-bytes-exceeded"]
+    tree = parse(f"<div {long}><p {many}>x</p></div>", budgets=budgets)
+    assert budget_ids(tree) == ["max-attribute-bytes-exceeded",
+                                "max-attributes-per-element-exceeded"]
 
 
 # ---------------------------------------------------------------------------

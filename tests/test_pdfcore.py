@@ -6,6 +6,8 @@ BT/ET text positioning (Td/TD/T*/TL/Tm, Tj/TJ/'/\") and reading-order
 reconstruction.
 """
 
+import gc
+import time
 import tracemalloc
 import zlib
 
@@ -123,6 +125,38 @@ def test_flate_bomb_raises_within_the_inflate_cap():
     assert len(out) == 1
     assert out[0]["status"] == "error"
     assert out[0]["error"].startswith("ValueError: FlateDecode")
+
+
+# object headers that no endobj or endstream closes: each header used to
+# search to the end of the document again
+_UNCLOSED = {
+    "no-endobj": lambda n: b"1 0 obj\n" * n,
+    "no-endstream": lambda n: b"1 0 obj\nstream\n" * n + b"endobj",
+    "no-stream": lambda n: b"1 0 obj\n" * n + b"endobj",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_UNCLOSED))
+def test_object_scan_is_linear_in_unclosed_headers(shape):
+    """Four times the headers cost at most six times the scan (quadratic
+    is sixteen), timed best of three with the cyclic collector paused."""
+    def best_s(n):
+        pdf = b"%PDF-1.4\n" + _UNCLOSED[shape](n)
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            assert pdf_layout_blocks(pdf) == []
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        small, large = best_s(5_000), best_s(20_000)
+    finally:
+        if enabled:
+            gc.enable()
+    assert large <= 6 * small
 
 
 def test_pdf_extract_stage(ray_session):
