@@ -138,11 +138,14 @@ def _iter_streams(data: bytes):
     ``endobj``, ``stream`` and ``endstream`` found are kept and searched
     for again only once a header lies past them, and a keyword missing
     after one header is missing after every later one, which ends the
-    scan."""
+    scan. A stream is taken once, by the first header of its object:
+    headers that start before that object's ``endobj`` are skipped."""
     inflated = 0
-    endobj = payload_end = -1
+    endobj = payload_end = taken_to = -1
     sm = None
     for m in _OBJ_RE.finditer(data):
+        if m.start() < taken_to:
+            continue
         start = m.end()
         if endobj < start:
             endobj = data.find(b"endobj", start)
@@ -159,6 +162,7 @@ def _iter_streams(data: bytes):
             payload_end = data.find(b"endstream", payload_start)
             if payload_end < 0:
                 return
+        taken_to = endobj
         head = data[start:sm.start()]
         payload = data[payload_start:payload_end]
         if _FLATE_RE.search(head):

@@ -14,9 +14,11 @@ It is a stateless callable passed as an INSTANCE to
 ``ds.map_batches(DocStage(...), batch_format="pyarrow")``, so it runs as a
 plain map task that Ray Data fuses with the skew split, the url bucketing
 and the write around it (one task operator, warm worker processes reused
-across jobs), and that reserves no CPU up front, so it finishes on 1-2
-CPUs. Kernel state (compiled regexes, entity trie, interned tables) is
-loaded once per worker at import. ``to_pylist()`` copies each row's html
+across jobs). The task map asks for no CPU up front, so it finishes on
+1-2 CPUs; Ray Data's executor would still hold CPUs back for the read
+through its per-operator reservation, which ``read_pages`` turns off on
+the datasets it creates (see there). Kernel state (compiled regexes,
+entity trie, interned tables) is loaded once per worker at import. ``to_pylist()`` copies each row's html
 bytes into the Python kernel once — unavoidable for a pure-Python parser,
 and small next to the parse itself, which is the vectorization unit here:
 one row = one full HTML parse.
@@ -297,9 +299,12 @@ def extract_pages(ds, *, batch_size: int = 16):
 
     The stage is a task map with no ``concurrency`` cap: Ray Data fuses it
     with the map stages on either side into one task operator and its
-    scheduler sizes the parallelism to the free CPUs, so no CPU is
-    reserved up front and the read is never starved, even on 1-2 CPUs. A
-    task cap would block that fusion. Tasks run with Ray Data's default
+    scheduler sizes the parallelism to the free CPUs, so the map asks
+    for no CPU up front and the read is never starved, even on 1-2 CPUs.
+    On a dataset from ``read_pages`` the executor's per-operator
+    reservation is off too, so the fused operator may run a task on
+    every CPU instead of leaving one held back for the read. A task cap
+    would block that fusion. Tasks run with Ray Data's default
     ``max_retries=-1``: a task whose worker dies is re-run.
     """
     return ds.map_batches(DocStage(VISIBLE_TEXT),

@@ -459,18 +459,44 @@ def test_resumable_extract_resumes_after_driver_sigkill(
     assert collect(crash_out) == expected
 
 
+def test_read_pages_turns_off_reservation_on_its_own_context(ray_session,
+                                                           tmp_path):
+    """read_pages turns Ray Data's per-operator reservation off on the
+    context its dataset owns, the plans built on it share that context,
+    and the caller's global DataContext is left as it was."""
+    from ray.data import DataContext
+
+    from html_parser_ray.pipelines.extract import (
+        add_url_bucket, extract_with_skew_routing, read_pages)
+    from html_parser_ray.sources.synth import write_pages_parquet
+
+    path = str(tmp_path / "pages")
+    write_pages_parquet(path, 4, seed=1)
+    before = DataContext.get_current().op_resource_reservation_enabled
+    pages = read_pages(path)
+    built = add_url_bucket(extract_with_skew_routing(pages))
+    assert pages.context.op_resource_reservation_enabled is False
+    assert built.context is pages.context
+    assert pages.context is not DataContext.get_current()
+    assert DataContext.get_current().op_resource_reservation_enabled == \
+        before
+
+
 @pytest.mark.parametrize("job,num_cpus", [
     pytest.param("run_extract", 1, id="1"),
     pytest.param("run_extract", 2, id="2"),
     pytest.param("pdf", 1, id="pdf-1"),
     pytest.param("pdf", 2, id="pdf-2"),
+    pytest.param("main", 1, id="main-1"),
+    pytest.param("main", 2, id="main-2"),
 ])
 def test_run_extract_completes_at_low_cpu_counts(tmp_path, job, num_cpus):
-    """run_extract, and the PDF task map, finish with their defaults on a
-    1- and a 2-CPU cluster (a stage that reserves CPUs up front starves
-    the read and hangs there). Each runs in a child process with its own
-    Ray cluster of exactly that size; the timeout turns a hang into a
-    failure. Every input row must come out ok."""
+    """run_extract, the PDF task map and the main-content plan
+    (read_pages → fused_extract_pages → write_extracted) finish with their
+    defaults on a 1- and a 2-CPU cluster (a stage that reserves CPUs up
+    front starves the read and hangs there). Each runs in a child process
+    with its own Ray cluster of exactly that size; the timeout turns a
+    hang into a failure. Every input row must come out ok."""
     import signal
     import subprocess
     import sys as _sys
@@ -481,13 +507,22 @@ def test_run_extract_completes_at_low_cpu_counts(tmp_path, job, num_cpus):
     in_dir = tmp_path / "in"
     out_dir = tmp_path / "out"
     os.makedirs(in_dir)
-    if job == "run_extract":
+    if job in ("run_extract", "main"):
         key = "url"
         for i in range(4):
             write_pages_parquet(str(in_dir / f"{i}.parquet"), 20,
                                 seed=i + 1, start=i * 20)
-        run = ("from html_parser_ray.pipelines.extract import run_extract\n"
-               "run_extract(IN, OUT)\n")
+        if job == "run_extract":
+            run = ("from html_parser_ray.pipelines.extract import "
+                   "run_extract\n"
+                   "run_extract(IN, OUT)\n")
+        else:
+            run = ("from html_parser_ray.pipelines.extract import (\n"
+                   "    read_pages, write_extracted)\n"
+                   "from html_parser_ray.stages.fused import "
+                   "fused_extract_pages\n"
+                   "write_extracted(fused_extract_pages(read_pages(IN)), "
+                   "OUT)\n")
     else:
         key = "doc_id"
         for i in range(4):
